@@ -64,7 +64,6 @@ from .optimize import (
     MlaResult,
     PrecedenceConstraint,
     brute_force_mla,
-    constrained_mla,
     enumerate_projective,
     projective_mla,
 )
@@ -127,7 +126,6 @@ __all__ = [
     "check_star_placement",
     "check_verb_argument_branching",
     "compare_fixture",
-    "constrained_mla",
     "cost_D",
     "cost_function_from_spec",
     "drop_punctuation",

@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: analyze, optimize, predict, pair, casestudy.  All output
-is deterministic: same input, flags and seed give byte-identical bytes,
-whatever the worker count.  Exit status: 0 on success (and all checks
-passing), 1 when an asserted check fails, 2 on input or usage errors.
+is deterministic: same input, flags and seed give byte-identical bytes.
+Exit status: 0 on success (and all checks passing), 1 when an asserted
+check fails, 2 on input or usage errors.
 """
 
 from __future__ import annotations
@@ -12,9 +12,8 @@ import argparse
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from fractions import Fraction
-from functools import partial
 
 from . import __version__
 from .casestudy import compare_fixture
@@ -26,17 +25,17 @@ from .costs import (
     verify_pairing_optimal,
 )
 from .errors import DeplenError, EmptyCorpusError, TooLargeError
-from .metrics import _edge_halves, cost_D, frac_dec, frac_str, length_histogram
+from .metrics import LengthHistogram, cost_D, frac_dec, frac_str
 from .optimize import (
     BRUTE_FORCE_MAX,
-    MlaResult,
     brute_force_mla,
-    enumerate_projective,
+    projective_enum_mla,
     projective_mla,
 )
-from .tree import Linearization, Unit
+from .tree import Unit
 
 UNIT_BY_NAME = {"words": Unit.WORDS, "chars": Unit.CHARACTERS}
+RATIONAL_FIELDS = ("observed", "optimal", "gap")  # optimize rows, exact and decimal
 
 
 def _render(value) -> str:
@@ -95,27 +94,18 @@ def _cost_fn(args):
     )
 
 
-def _analyze_one(tree, unit, g):
-    return cost_D(tree, tree.identity_linearization(), g, unit)
-
-
-def _pmap(fn, items, jobs):
-    if jobs <= 1:
-        return [fn(x) for x in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def cmd_analyze(args, out) -> int:
     trees = _load_corpus(args)
     unit = UNIT_BY_NAME[args.unit]
     g = _cost_fn(args)
-    reports = _pmap(partial(_analyze_one, unit=unit, g=g), trees, args.jobs)
+    reports = [cost_D(t, t.identity_linearization(), g, unit) for t in trees]
     histogram = None
     if unit is Unit.WORDS:
-        pairs = [(t, t.identity_linearization()) for t in trees]
-        if any(t.n > 1 for t in trees):
-            histogram = length_histogram(pairs)
+        counts = Counter()
+        for r in reports:
+            counts.update(r.histogram.counts)
+        if counts:
+            histogram = LengthHistogram(dict(counts), sum(counts.values()))
 
     if args.format == "json":
         payload = {
@@ -157,27 +147,6 @@ def cmd_analyze(args, out) -> int:
     return 0
 
 
-def _min_projective_by_enum(tree, unit, g):
-    best = None
-    best_seq = None
-    searched = 0
-    cache = {}
-    for lin in enumerate_projective(tree):
-        searched += 1
-        cost = Fraction(0)
-        for hv in _edge_halves(tree, lin, unit):
-            c = cache.get(hv)
-            if c is None:
-                c = cache[hv] = g(Fraction(hv, 2))
-            cost += c
-        if best is None or cost < best:
-            best = cost
-            best_seq = lin.seq
-        elif cost == best and lin.seq < best_seq:
-            best_seq = lin.seq
-    return MlaResult(best, (Linearization(best_seq),), searched)
-
-
 def _optimize_one(tree, unit, g, max_n, exact):
     lin = tree.identity_linearization()
     observed = cost_D(tree, lin, g, unit).D
@@ -190,7 +159,7 @@ def _optimize_one(tree, unit, g, max_n, exact):
         mode = "projective"
         optimal_count = None
     else:
-        result = _min_projective_by_enum(tree, unit, g)
+        result = projective_enum_mla(tree, unit, g)
         mode = "projective-enum"
         optimal_count = None
     gap = observed / result.min_cost if result.min_cost else Fraction(1)
@@ -214,13 +183,7 @@ def cmd_optimize(args, out) -> int:
     trees = _load_corpus(args)
     unit = UNIT_BY_NAME[args.unit]
     g = _cost_fn(args)
-    rows = _pmap(
-        partial(
-            _optimize_one, unit=unit, g=g, max_n=args.max_n, exact=args.exact
-        ),
-        trees,
-        args.jobs,
-    )
+    rows = [_optimize_one(t, unit, g, args.max_n, args.exact) for t in trees]
 
     if args.format == "json":
         payload = {
@@ -230,20 +193,12 @@ def cmd_optimize(args, out) -> int:
             "seed": args.seed,
             "max_n": args.max_n,
             "sentences": [
-                {
-                    "sentence": i,
-                    "n": r["n"],
-                    "observed": frac_str(r["observed"]),
-                    "observed_dec": frac_dec(r["observed"]),
-                    "optimal": frac_str(r["optimal"]),
-                    "optimal_dec": frac_dec(r["optimal"]),
-                    "gap": frac_str(r["gap"]),
-                    "gap_dec": frac_dec(r["gap"]),
-                    "search": r["search"],
-                    "optimal_count": r["optimal_count"],
-                    "searched": r["searched"],
-                    "representative": r["representative"],
-                }
+                dict(
+                    r,
+                    sentence=i,
+                    **{k: frac_str(r[k]) for k in RATIONAL_FIELDS},
+                    **{k + "_dec": frac_dec(r[k]) for k in RATIONAL_FIELDS},
+                )
                 for i, r in enumerate(rows, start=1)
             ],
         }
@@ -279,24 +234,16 @@ def cmd_predict(args, out) -> int:
 
     reports = run_default_suite()
     all_hold = all(r.holds for r in reports)
+    payload = {
+        "command": "predict",
+        "seed": args.seed,
+        "all_hold": all_hold,
+        "reports": [r.to_json_dict() for r in reports],
+    }
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:
-            _emit_json(
-                {
-                    "command": "predict",
-                    "seed": args.seed,
-                    "all_hold": all_hold,
-                    "reports": [r.to_json_dict() for r in reports],
-                },
-                fh,
-            )
+            _emit_json(payload, fh)
     if args.format == "json":
-        payload = {
-            "command": "predict",
-            "seed": args.seed,
-            "all_hold": all_hold,
-            "reports": [r.to_json_dict() for r in reports],
-        }
         _emit_json(payload, out)
     else:
         rows = [
@@ -429,12 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "--drop-punct",
                 action="store_true",
                 help="drop punctuation-only leaf tokens before measuring",
-            )
-            p.add_argument(
-                "--jobs",
-                type=int,
-                default=1,
-                help="worker processes over sentences (default: 1)",
             )
 
     p = sub.add_parser("analyze", help="measure dependency lengths in a corpus")

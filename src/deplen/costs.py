@@ -3,7 +3,9 @@
 All evaluation is exact: every g(d) is a Fraction.  The logarithmic
 kind snaps log(1+d) to the nearest IEEE double once and embeds that
 value exactly into the rationals, so downstream sums and comparisons
-stay exact and reproducible.
+stay exact and reproducible.  Sums over many edges go through a
+HalfTable: g is evaluated once per half-unit distance, scaled to an
+integer over a common denominator, and summed as integers.
 """
 
 from __future__ import annotations
@@ -58,6 +60,11 @@ class CostFunction:
     @cached_property
     def _table_map(self) -> dict[int, Fraction] | None:
         return dict(self.table) if self.table is not None else None
+
+    @cached_property
+    def half_table(self) -> "HalfTable":
+        """This function's memo over half-unit distances; see HalfTable."""
+        return HalfTable(self)
 
     def __call__(self, d) -> Fraction:
         d = Fraction(d)
@@ -147,6 +154,42 @@ def make_cost_function(
 
 
 IDENTITY = make_cost_function("identity")
+
+
+class HalfTable:
+    """g over half-unit distances, as integers over one common denominator.
+
+    ints[h] * Fraction(1, scale) == g(Fraction(h, 2)) for every half
+    distance h evaluated so far; entries not evaluated yet are None.  g
+    is called once per distinct h, in the order fill is given them, and
+    errors propagate unchanged.  When a new value's denominator does not
+    divide scale, scale grows and every entry is rescaled in place, so a
+    caller may keep a reference to ints across calls to fill.
+    """
+
+    def __init__(self, g):
+        self.g = g
+        self.scale = 1
+        self.ints = []
+
+    def fill(self, halves) -> int:
+        """Evaluate g where missing; return the factor by which scale grew."""
+        ints = self.ints
+        grown = 1
+        for h in halves:
+            if h >= len(ints):
+                ints.extend([None] * (h + 1 - len(ints)))
+            if ints[h] is not None:
+                continue
+            value = self.g(Fraction(h, 2))
+            den = value.denominator
+            factor = den // math.gcd(self.scale, den)
+            if factor != 1:
+                self.scale *= factor
+                grown *= factor
+                ints[:] = [None if v is None else v * factor for v in ints]
+            ints[h] = value.numerator * (self.scale // den)
+        return grown
 
 
 def cost_function_from_spec(text: str, allow_nonmonotone: bool = False) -> CostFunction:

@@ -57,7 +57,7 @@ def word_centers(tree: DepTree, lin: Linearization) -> dict[int, int]:
     return centers
 
 
-def _edge_halves(tree, lin, unit):
+def edge_halves(tree, lin, unit):
     """Per-edge lengths in half-units, ordered like tree.edges."""
     if unit is Unit.WORDS:
         pos = lin.positions()
@@ -85,17 +85,13 @@ def edge_length(tree, lin, edge, unit: Unit = Unit.WORDS) -> EdgeLength:
     h, d = edge
     if (h, d) not in tree.edge_set:
         raise UnknownEdgeError("(%s, %s) is not an edge of the tree" % (h, d))
-    if unit is Unit.WORDS:
-        halves = 2 * abs(lin.position(h) - lin.position(d))
-    else:
-        centers = word_centers(tree, lin)
-        halves = abs(centers[h] - centers[d])
+    halves = edge_halves(tree, lin, unit)[tree.edges.index((h, d))]
     return EdgeLength(h, d, unit, halves)
 
 
 def sum_lengths(tree, lin, unit: Unit = Unit.WORDS) -> Fraction:
     """Total dependency length of the arrangement."""
-    return Fraction(sum(_edge_halves(tree, lin, unit)), 2)
+    return Fraction(sum(edge_halves(tree, lin, unit)), 2)
 
 
 @dataclass(frozen=True)
@@ -137,9 +133,7 @@ def length_histogram(items, unit: Unit = Unit.WORDS) -> LengthHistogram:
         raise ValueError("length histograms are defined for the words unit")
     counts = Counter()
     for tree, lin in items:
-        pos = lin.positions()
-        for h, d in tree.edges:
-            counts[abs(pos[h] - pos[d])] += 1
+        counts.update(h // 2 for h in edge_halves(tree, lin, unit))
     total = sum(counts.values())
     if total == 0:
         raise EmptyCorpusError("no dependencies to count")
@@ -175,38 +169,36 @@ def cost_D(tree, lin, g=None, unit: Unit = Unit.WORDS) -> CostReport:
 
     Computes D = (n-1) * sum_d p(d) g(d) from the distance proportions
     and checks it against the direct edge-wise sum; with exact
-    arithmetic the two must agree.
+    arithmetic the two must agree.  Both sums are integers over the
+    common denominator of g's HalfTable, so (n-1) * p(d) is the count
+    of distance d.
     """
     if g is None:
         g = IDENTITY
-    halves = _edge_halves(tree, lin, unit)
-    m = len(halves)
-    if m == 0:
-        empty = LengthHistogram({}, 0) if unit is Unit.WORDS else None
-        return CostReport(tree.n, unit, Fraction(0), Fraction(0), empty)
-
-    distances = [Fraction(h, 2) for h in halves]
-    direct = sum((g(d) for d in distances), Fraction(0))
-    grouped = Counter(distances)
-    D = Fraction(m) * sum(
-        (Fraction(c, m) * g(d) for d, c in grouped.items()), Fraction(0)
-    )
-    if D != direct:
+    halves = edge_halves(tree, lin, unit)
+    grouped = Counter(halves)
+    table = g.half_table
+    table.fill(grouped)
+    ints = table.ints
+    direct = sum(map(ints.__getitem__, halves))
+    by_distance = sum(c * ints[h] for h, c in grouped.items())
+    if by_distance != direct:
         raise AssertionError(
-            "grouped cost %s differs from edge-wise sum %s" % (D, direct)
+            "grouped cost %s differs from edge-wise sum %s"
+            % (Fraction(by_distance, table.scale), Fraction(direct, table.scale))
         )
     histogram = None
     if unit is Unit.WORDS:
-        histogram = LengthHistogram(
-            {int(d): c for d, c in grouped.items()}, m
-        )
+        counts = {h // 2: c for h, c in grouped.items()}
+        histogram = LengthHistogram(counts, len(halves))
     total = Fraction(sum(halves), 2)
+    D = Fraction(by_distance, table.scale)
     return CostReport(tree.n, unit, total, D, histogram)
 
 
 def generalized_cost(tree, lin, g3, unit: Unit = Unit.WORDS) -> Fraction:
     """Sum of g3(head_token, dep_token, distance) over the edges."""
-    halves = _edge_halves(tree, lin, unit)
+    halves = edge_halves(tree, lin, unit)
     total = Fraction(0)
     for (h, d), hv in zip(tree.edges, halves):
         total += g3(tree.token(h), tree.token(d), Fraction(hv, 2))

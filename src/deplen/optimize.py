@@ -2,22 +2,24 @@
 
 brute_force_mla enumerates every permutation (n <= 10), optionally
 filtered by precedence/contiguity constraints.  enumerate_projective
-yields exactly the projective arrangements (n <= 12).  projective_mla
-constructs an optimal projective arrangement directly for the words
-unit with identity cost.
+yields exactly the projective arrangements (n <= 12), and
+projective_enum_mla scores them all for any unit and cost.
+projective_mla constructs an optimal projective arrangement directly
+for the words unit with identity cost.  Costs are summed as integers
+through the cost function's HalfTable; a Fraction is built once per
+result.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, permutations, product
 
 from .costs import IDENTITY
 from .errors import InfeasibleConstraintsError, TooLargeError
-from .metrics import frac_dec, frac_str, sum_lengths, word_centers
-from .tree import DepTree, Linearization, Unit
+from .metrics import frac_dec, frac_str, sum_lengths
+from .tree import Linearization, Unit
 
 BRUTE_FORCE_MAX = 10
 PROJECTIVE_ENUM_MAX = 12
@@ -128,19 +130,66 @@ class MlaResult:
         }
 
 
-def _words_cost_table(g, n):
-    """g(d) for d = 1..n-1 scaled to integers by the common denominator."""
-    values = [g(d) for d in range(1, n)]
-    scale = math.lcm(*(v.denominator for v in values)) if values else 1
-    table = [0] + [int(v * scale) for v in values]
-    return table, scale
+def _half_positions(tree, unit, seqs):
+    """Each token's doubled center, by token - 1, for each order in seqs.
+
+    A word is 1 wide in the words unit, and its length plus one space wide
+    in characters.
+    """
+    chars = unit is Unit.CHARACTERS
+    widths = [0] + [t.char_length if chars else 1 for t in tree.tokens]
+    gap = 1 if chars else 0
+    for seq in seqs:
+        at = [0] * tree.n
+        start = 1
+        for t in seq:
+            w = widths[t]
+            at[t - 1] = 2 * start + w - 1
+            start += w + gap
+        yield at
+
+
+def _scan(table, costs, edges, placements):
+    """(minimum scaled cost, the placements attaining it, placements seen).
+
+    costs[k] is the scaled cost of distance k.  A miss fills table, which
+    rescales table.ints in place, so costs must be table.ints unless it
+    already holds every distance the placements can meet.
+    """
+    best = None
+    optimal = []
+    searched = 0
+    for at in placements:
+        searched += 1
+        try:
+            cost = 0
+            for h, d in edges:
+                cost += costs[abs(at[h] - at[d])]
+        except (IndexError, TypeError):  # a distance g has not seen yet
+            grown = table.fill([abs(at[h] - at[d]) for h, d in edges])
+            if best is not None:
+                best *= grown
+            cost = sum(costs[abs(at[h] - at[d])] for h, d in edges)
+        if best is None or cost < best:
+            best = cost
+            optimal = [at]
+        elif cost == best:
+            optimal.append(at)
+    return best, optimal, searched
+
+
+def _order(at):
+    """The token sequence of a placement: tokens by increasing position."""
+    return tuple(sorted(range(1, len(at) + 1), key=lambda t: at[t - 1]))
 
 
 def brute_force_mla(tree, unit=Unit.WORDS, g=None, constraint=None) -> MlaResult:
     """Exact minimum over all (admissible) permutations.
 
     Guarded at n <= 10.  Returns the full set of optima, sorted so the
-    lexicographically smallest order comes first.
+    lexicographically smallest order comes first.  An order is scanned as
+    a placement (each token's position, or doubled center in characters),
+    so an edge's cost is one lookup in g's HalfTable.
     """
     n = tree.n
     if n > BRUTE_FORCE_MAX:
@@ -153,79 +202,34 @@ def brute_force_mla(tree, unit=Unit.WORDS, g=None, constraint=None) -> MlaResult
     if constraint is not None:
         _check_acyclic(constraint)
 
-    edges = tree.edges
-    lambdas = [0] + [t.char_length for t in tree.tokens]
-
-    words = unit is Unit.WORDS
-    if words:
-        gtable, scale = _words_cost_table(g, n)
-    elif g.kind == "identity":
-        gcache = None
-        scale = 2
-    else:
-        gcache = {}
-        scale = 1
-
-    best = None
-    best_seqs = []
-    searched = 0
-    pos = [0] * (n + 1)  # token -> position, reused across permutations
-
-    for seq in permutations(range(1, n + 1)):
-        for p, t in enumerate(seq, start=1):
-            pos[t] = p
+    tokens = range(1, n + 1)
+    table = g.half_table
+    if unit is Unit.WORDS:
+        table.fill(range(2, 2 * n, 2))  # every distance 1..n-1 occurs
+        costs = table.ints[::2]  # by word distance
+        placements = permutations(tokens)  # token positions, 1..n
         if constraint is not None:
-            pdict = {t: pos[t] for t in range(1, n + 1)}
-            if not constraint.satisfied_by(pdict):
-                continue
-        searched += 1
-        if words:
-            cost = 0
-            for h, d in edges:
-                cost += gtable[abs(pos[h] - pos[d])]
-        else:
-            # character unit: centers in half-units from the permuted lambdas
-            centers = [0] * (n + 1)
-            start = 1
-            for t in seq:
-                lam = lambdas[t]
-                centers[t] = 2 * start + lam - 1
-                start += lam + 1
-            if gcache is None:  # identity: cost in half-units
-                cost = 0
-                for h, d in edges:
-                    cost += abs(centers[h] - centers[d])
-            else:
-                cost = Fraction(0)
-                for h, d in edges:
-                    hv = abs(centers[h] - centers[d])
-                    c = gcache.get(hv)
-                    if c is None:
-                        c = gcache[hv] = g(Fraction(hv, 2))
-                    cost += c
-        if best is None or cost < best:
-            best = cost
-            best_seqs = [seq]
-        elif cost == best:
-            best_seqs.append(seq)
-
+            placements = (
+                at for at in placements
+                if constraint.satisfied_by(dict(zip(tokens, at)))
+            )
+    else:
+        costs = table.ints  # by half-unit distance, filled as met
+        seqs = permutations(tokens)
+        if constraint is not None:
+            seqs = (
+                seq for seq in seqs
+                if constraint.satisfied_by(dict(zip(seq, tokens)))
+            )
+        placements = _half_positions(tree, unit, seqs)
+    edges = [(h - 1, d - 1) for h, d in tree.edges]
+    best, optimal, searched = _scan(table, costs, edges, placements)
     if searched == 0:
         raise InfeasibleConstraintsError(
             "no linear order satisfies the constraints"
         )
-    if words or gcache is None:
-        min_cost = Fraction(best, scale)
-    else:
-        min_cost = best
-    orders = tuple(Linearization(s) for s in sorted(best_seqs))
-    return MlaResult(min_cost, orders, searched)
-
-
-def constrained_mla(tree, constraint, unit=Unit.WORDS, g=None) -> MlaResult:
-    """Brute-force minimum restricted to constraint-satisfying orders."""
-    if constraint is None:
-        raise ValueError("constrained_mla needs a constraint")
-    return brute_force_mla(tree, unit=unit, g=g, constraint=constraint)
+    orders = tuple(Linearization(s) for s in sorted(map(_order, optimal)))
+    return MlaResult(Fraction(best, table.scale), orders, searched)
 
 
 def _subtree_seqs(tree, v):
@@ -257,6 +261,24 @@ def enumerate_projective(tree):
         )
     for seq in _subtree_seqs(tree, tree.root):
         yield Linearization(seq)
+
+
+def projective_enum_mla(tree, unit=Unit.WORDS, g=None) -> MlaResult:
+    """Minimum over every projective arrangement, for any unit and cost.
+
+    Scores each order of enumerate_projective (so n <= 12) through g's
+    HalfTable.  Returns one optimum, the lexicographically smallest.
+    """
+    if g is None:
+        g = IDENTITY
+    table = g.half_table
+    seqs = (lin.seq for lin in enumerate_projective(tree))
+    edges = [(h - 1, d - 1) for h, d in tree.edges]
+    best, optimal, searched = _scan(
+        table, table.ints, edges, _half_positions(tree, unit, seqs)
+    )
+    first = Linearization(min(map(_order, optimal)))
+    return MlaResult(Fraction(best, table.scale), (first,), searched)
 
 
 def _arrange(tree, v, parent_side):

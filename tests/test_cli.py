@@ -77,13 +77,6 @@ class TestAnalyze:
         assert code == 0
         assert out.startswith("analyze: 5 sentence(s), unit=words, g=log")
 
-    def test_parallel_output_matches_serial(self, capsys, sample_path):
-        _, serial, _ = run(capsys, "analyze", str(sample_path), "--format", "json")
-        _, parallel, _ = run(
-            capsys, "analyze", str(sample_path), "--format", "json", "--jobs", "2"
-        )
-        assert serial == parallel
-
     def test_missing_file(self, capsys):
         code, out, err = run(capsys, "analyze", "/no/such/file.conllu")
         assert code == 2

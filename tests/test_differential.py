@@ -1,0 +1,225 @@
+"""The integer cost path against a plain Fraction oracle.
+
+The oracle recomputes every edge length from positions and NFC form
+lengths and sums g(Fraction(h, 2)) edge by edge, with no table, no
+common denominator and no memo.
+"""
+
+import random
+import unicodedata
+from fractions import Fraction
+from itertools import permutations
+
+import pytest
+
+from deplen import (
+    CostFunction,
+    DomainError,
+    Linearization,
+    Token,
+    Unit,
+    brute_force_mla,
+    build_tree,
+    cost_D,
+    cost_function_from_spec,
+    enumerate_projective,
+    make_cost_function,
+    random_tree,
+    sum_lengths,
+)
+from deplen.costs import HalfTable
+from deplen.optimize import projective_enum_mla
+
+LETTERS = "abcdefghijklmnop"
+# precomposed letters and decomposed pairs that NFC composes to one character
+NON_ASCII = ("é", "ß", "ł", "é", "à", "ñ")
+SPECS = ("identity", "power:2", "power:3/2", "log")
+
+
+def random_form(rng):
+    return "".join(
+        rng.choice(NON_ASCII) if rng.random() < 0.2 else rng.choice(LETTERS)
+        for _ in range(rng.randrange(1, 9))
+    )
+
+
+def random_sentence(n, rng):
+    shape = random_tree(n, rng)
+    tokens = [Token(i, random_form(rng)) for i in range(1, n + 1)]
+    return build_tree(tokens, shape.heads)
+
+
+def oracle_halves(tree, seq, unit):
+    if unit is Unit.WORDS:
+        at = {t: 2 * p for p, t in enumerate(seq, start=1)}
+    else:
+        at, start = {}, 1
+        for t in seq:
+            lam = len(unicodedata.normalize("NFC", tree.token(t).form))
+            at[t] = 2 * start + lam - 1
+            start += lam + 1
+    return [abs(at[h] - at[d]) for h, d in tree.edges]
+
+
+def oracle_cost(g, halves):
+    return sum((g(Fraction(h, 2)) for h in halves), Fraction(0))
+
+
+def oracle_mla(tree, unit, g):
+    costs = {
+        seq: oracle_cost(g, oracle_halves(tree, seq, unit))
+        for seq in permutations(range(1, tree.n + 1))
+    }
+    best = min(costs.values())
+    return best, sorted(s for s, c in costs.items() if c == best)
+
+
+@pytest.fixture()
+def csv_table(tmp_path):
+    path = tmp_path / "g.csv"
+    # g(d) = d + 1/k with k cycling through 2..5: increasing, mixed denominators
+    rows = "".join(
+        "%d,%d/%d\n" % (d, d * k + 1, k) for d, k in ((d, d % 4 + 2) for d in range(1, 200))
+    )
+    path.write_text("d,cost\n" + rows, encoding="utf-8")
+    return "table:%s" % path
+
+
+@pytest.mark.parametrize("unit", [Unit.WORDS, Unit.CHARACTERS])
+def test_cost_D_matches_the_fraction_oracle(unit, csv_table):
+    rng = random.Random(2024)
+    for spec in SPECS + (csv_table,):
+        # a fresh function per spec, so its memo starts empty and grows
+        g = cost_function_from_spec(spec)
+        for _ in range(40):
+            t = random_sentence(rng.randrange(1, 16), rng)
+            seq = list(range(1, t.n + 1))
+            rng.shuffle(seq)
+            lin = Linearization(tuple(seq))
+            halves = oracle_halves(t, seq, unit)
+            try:
+                want = oracle_cost(g, halves)
+            except DomainError:  # a table meets a half-integer distance
+                with pytest.raises(DomainError):
+                    cost_D(t, lin, g, unit)
+                continue
+            rep = cost_D(t, lin, g, unit)
+            assert rep.D == want
+            assert rep.sum_lengths == Fraction(sum(halves), 2)
+            assert sum_lengths(t, lin, unit) == rep.sum_lengths
+
+
+@pytest.mark.parametrize("spec", ["power:2", "log"])
+def test_brute_force_matches_a_plain_permutation_loop(spec):
+    rng = random.Random(77)
+    g = cost_function_from_spec(spec)
+    for _ in range(10):
+        t = random_sentence(rng.randrange(2, 8), rng)
+        best, optima = oracle_mla(t, Unit.CHARACTERS, g)
+        res = brute_force_mla(t, unit=Unit.CHARACTERS, g=g)
+        assert res.min_cost == best
+        assert len(res.optimal_orders) == len(optima)
+        assert res.representative.seq == optima[0]
+        assert res.searched == len(list(permutations(range(t.n))))
+
+
+def test_searches_rescale_when_a_new_denominator_appears():
+    # one-character forms keep every chars distance an integer; each
+    # table entry brings a new prime denominator in the middle of the search
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+    def fresh_table():
+        return make_cost_function(
+            "table", table={d: Fraction(d * 60, p) for d, p in enumerate(primes, 1)},
+            allow_nonmonotone=True,
+        )
+
+    g = fresh_table()
+    rng = random.Random(5)
+    for _ in range(6):
+        shape = random_tree(rng.randrange(3, 7), rng)
+        t = build_tree([Token(i, "x") for i in range(1, shape.n + 1)], shape.heads)
+        best, optima = oracle_mla(t, Unit.CHARACTERS, g)
+        res = brute_force_mla(t, unit=Unit.CHARACTERS, g=fresh_table())
+        assert res.min_cost == best
+        assert [l.seq for l in res.optimal_orders] == optima
+        projective = min(
+            (oracle_cost(g, oracle_halves(t, lin.seq, Unit.CHARACTERS)), lin.seq)
+            for lin in enumerate_projective(t)
+        )
+        res = projective_enum_mla(t, Unit.CHARACTERS, fresh_table())
+        assert (res.min_cost, res.representative.seq) == projective
+
+
+@pytest.mark.parametrize("unit", [Unit.WORDS, Unit.CHARACTERS])
+def test_projective_enum_matches_the_oracle(unit):
+    rng = random.Random(31)
+    for spec in ("power:2", "power:3/2", "log"):
+        g = cost_function_from_spec(spec)
+        for _ in range(8):
+            t = random_sentence(rng.randrange(2, 8), rng)
+            costs = {
+                lin.seq: oracle_cost(g, oracle_halves(t, lin.seq, unit))
+                for lin in enumerate_projective(t)
+            }
+            best = min(costs.values())
+            res = projective_enum_mla(t, unit, g)
+            assert res.min_cost == best
+            assert res.representative.seq == min(s for s, c in costs.items() if c == best)
+            assert res.searched == len(costs)
+
+
+def test_table_refuses_a_half_integer_character_distance(csv_table):
+    g = cost_function_from_spec(csv_table)
+    t = build_tree([Token(1, "ab"), Token(2, "c")], {1: 0, 2: 1})  # 3/2 apart
+    lin = t.identity_linearization()
+    with pytest.raises(DomainError, match="integers only"):
+        cost_D(t, lin, g, Unit.CHARACTERS)
+    with pytest.raises(DomainError, match="integers only"):
+        brute_force_mla(t, unit=Unit.CHARACTERS, g=g)
+    with pytest.raises(DomainError, match="integers only"):
+        projective_enum_mla(t, Unit.CHARACTERS, g)
+
+
+def test_table_shorter_than_the_longest_distance():
+    g = make_cost_function("table", table={1: 1, 2: 3})
+    t = build_tree([Token(i, "w") for i in range(1, 5)], {1: 0, 2: 1, 3: 1, 4: 1})
+    message = r"table has no cost for d=3 \(domain 1\.\.2\)"
+    with pytest.raises(DomainError, match=message):
+        cost_D(t, t.identity_linearization(), g)
+    with pytest.raises(DomainError, match=message):
+        brute_force_mla(t, g=g)
+    # the failed evaluations leave the memo usable
+    assert cost_D(t, Linearization((2, 1, 3, 4)), g).D == 1 + 1 + 3
+
+
+def test_each_distinct_distance_reaches_g_once():
+    calls = []
+
+    class Counting(CostFunction):
+        def __call__(self, d):
+            calls.append(d)
+            return super().__call__(d)
+
+    g = Counting("log")
+    rng = random.Random(8)
+    seen = set()
+    for _ in range(30):
+        t = random_sentence(rng.randrange(2, 12), rng)
+        lin = t.identity_linearization()
+        for unit in (Unit.WORDS, Unit.CHARACTERS):
+            cost_D(t, lin, g, unit)
+            seen.update(Fraction(h, 2) for h in oracle_halves(t, lin.seq, unit))
+    assert sorted(calls) == sorted(seen)
+
+
+def test_half_table_rescales_in_place():
+    table = HalfTable(lambda d: d / 3 if d == 2 else d)
+    ints = table.ints
+    assert table.fill([2]) == 1  # g(1) = 1
+    assert table.fill([3, 2]) == 2  # g(3/2) = 3/2
+    assert (ints[2], ints[3], table.scale) == (2, 3, 2)
+    assert table.fill([4, 2]) == 3  # g(2) = 2/3
+    assert table.ints is ints
+    assert (ints[2], ints[3], ints[4], table.scale) == (6, 9, 4, 6)
+    assert table.fill([4, 3]) == 1

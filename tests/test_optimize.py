@@ -14,7 +14,6 @@ from deplen import (
     Unit,
     brute_force_mla,
     build_tree,
-    constrained_mla,
     cost_D,
     enumerate_projective,
     is_projective,
@@ -157,16 +156,16 @@ class TestBruteForce:
 
 class TestConstraints:
     def test_pair_filters_optima(self):
-        res = constrained_mla(
-            star3(), PrecedenceConstraint(pairs={(3, 1)})
+        res = brute_force_mla(
+            star3(), constraint=PrecedenceConstraint(pairs={(3, 1)})
         )
         assert res.min_cost == 2
         assert [l.seq for l in res.optimal_orders] == [(3, 1, 2)]
         assert res.searched == 3  # half of the 6 permutations
 
     def test_blocks_are_contiguous_and_ordered(self):
-        res = constrained_mla(
-            chain3(), PrecedenceConstraint(blocks=((2, 3), (1,)))
+        res = brute_force_mla(
+            chain3(), constraint=PrecedenceConstraint(blocks=((2, 3), (1,)))
         )
         assert res.min_cost == 2
         assert [l.seq for l in res.optimal_orders] == [(3, 2, 1)]
@@ -174,23 +173,25 @@ class TestConstraints:
 
     def test_pair_cycle_is_rejected_up_front(self):
         with pytest.raises(InfeasibleConstraintsError):
-            constrained_mla(
-                chain3(), PrecedenceConstraint(pairs={(1, 2), (2, 1)})
+            brute_force_mla(
+                chain3(), constraint=PrecedenceConstraint(pairs={(1, 2), (2, 1)})
             )
 
     def test_block_order_conflicting_with_pair_is_a_cycle(self):
         with pytest.raises(InfeasibleConstraintsError):
-            constrained_mla(
+            brute_force_mla(
                 chain3(),
-                PrecedenceConstraint(pairs={(3, 1)}, blocks=((1,), (3,))),
+                constraint=PrecedenceConstraint(pairs={(3, 1)}, blocks=((1,), (3,))),
             )
 
     def test_acyclic_but_unsatisfiable(self):
         # 1 and 2 must stay adjacent while 3 sits strictly between them
         with pytest.raises(InfeasibleConstraintsError):
-            constrained_mla(
+            brute_force_mla(
                 chain3(),
-                PrecedenceConstraint(pairs={(1, 3), (3, 2)}, blocks=((1, 2),)),
+                constraint=PrecedenceConstraint(
+                    pairs={(1, 3), (3, 2)}, blocks=((1, 2),)
+                ),
             )
 
     def test_token_in_two_blocks_rejected(self):
@@ -204,10 +205,6 @@ class TestConstraints:
         assert c.satisfied_by({1: 1, 2: 2, 3: 3, 4: 4})
         assert not c.satisfied_by({1: 2, 2: 1, 3: 3, 4: 4})
         assert not c.satisfied_by({1: 1, 2: 3, 3: 2, 4: 4})  # block split
-
-    def test_constrained_needs_a_constraint(self):
-        with pytest.raises(ValueError):
-            constrained_mla(chain3(), None)
 
 
 class TestProjectiveEnumeration:
