@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .metrics import cost_D, edge_length, frac_dec, frac_str
+from .metrics import edge_halves, frac_dec, frac_str
 from .tree import DepTree, Linearization, Token, Unit, build_tree
 
 
@@ -114,14 +114,13 @@ def compare_fixture(unit: Unit = Unit.CHARACTERS) -> CaseStudyReport:
     entries = []
     totals = {}
     for fx in french_fixture():
+        halves = edge_halves(fx.tree, fx.lin, unit)
         per_edge = tuple(
-            (h, d, edge_length(fx.tree, fx.lin, (h, d), unit).length)
-            for h, d in fx.tree.edges
+            (h, d, Fraction(hv, 2)) for (h, d), hv in zip(fx.tree.edges, halves)
         )
-        report = cost_D(fx.tree, fx.lin, unit=unit)
-        totals[fx.label] = report.sum_lengths
+        totals[fx.label] = Fraction(sum(halves), 2)
         entries.append(
-            FixtureEntry(fx.label, fx.gloss, per_edge, report.sum_lengths)
+            FixtureEntry(fx.label, fx.gloss, per_edge, totals[fx.label])
         )
     ranking = tuple(sorted(totals, key=lambda lb: (totals[lb], lb)))
     if totals["a"] < totals["b"]:

@@ -18,20 +18,10 @@ from fractions import Fraction
 from . import __version__
 from .casestudy import compare_fixture
 from .conllu import drop_punctuation, parse_conllu
-from .costs import (
-    IDENTITY,
-    cost_function_from_spec,
-    optimal_pairing,
-    verify_pairing_optimal,
-)
+from .costs import cost_function_from_spec, optimal_pairing, verify_pairing_optimal
 from .errors import DeplenError, EmptyCorpusError, TooLargeError
 from .metrics import LengthHistogram, cost_D, frac_dec, frac_str
-from .optimize import (
-    BRUTE_FORCE_MAX,
-    brute_force_mla,
-    projective_enum_mla,
-    projective_mla,
-)
+from .optimize import BRUTE_FORCE_MAX, _optimize_one
 from .tree import Unit
 
 UNIT_BY_NAME = {"words": Unit.WORDS, "chars": Unit.CHARACTERS}
@@ -39,7 +29,13 @@ RATIONAL_FIELDS = ("observed", "optimal", "gap")  # optimize rows, exact and dec
 
 
 def _render(value) -> str:
-    """Human rendering of a rational: exact decimal if finite, else p/q."""
+    """Human rendering of a rational for tables and csv.
+
+    A finite decimal (denominator 2**a * 5**b) is shown as the repr of
+    the nearest float (frac_dec), so a long one is rounded: 1 + 1/2**60
+    shows as 1.0.  Any other rational is shown as p/q.  JSON output
+    carries every value exactly.
+    """
     value = Fraction(value)
     den = value.denominator
     while den % 2 == 0:
@@ -73,8 +69,30 @@ def _csv(rows, header) -> str:
     return buf.getvalue()
 
 
-def _emit_json(payload, out) -> None:
-    out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _emit(args, out, payload, header, rows, as_table=None, as_csv=None):
+    """Write a command's output in args.format, and to --json-out if set.
+
+    payload() gives the JSON object; the command and seed fields every
+    payload shares are added here.  rows() gives the table and csv rows
+    under header.  as_table(body) and as_csv(body), when given, add to
+    the rendered rows the text only that form prints.  Only what the
+    chosen format prints is built.
+    """
+    json_out = getattr(args, "json_out", None)
+    if args.format == "json" or json_out:
+        doc = dict(payload(), command=args.command, seed=args.seed)
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        if json_out:
+            with open(json_out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        if args.format == "json":
+            out.write(text)
+            return
+    if args.format == "csv":
+        body, finish = _csv(rows(), header), as_csv
+    else:
+        body, finish = _table(rows(), header) + "\n", as_table
+    out.write(finish(body) if finish else body)
 
 
 def _load_corpus(args):
@@ -94,6 +112,16 @@ def _cost_fn(args):
     )
 
 
+def _histogram_table(histogram) -> str:
+    if not histogram:
+        return ""
+    rows = [
+        [str(d), str(histogram.counts[d]), _render(p)]
+        for d, p in histogram.proportions().items()
+    ]
+    return "\ndistance histogram (words)\n" + _table(rows, ["d", "count", "p"]) + "\n"
+
+
 def cmd_analyze(args, out) -> int:
     trees = _load_corpus(args)
     unit = UNIT_BY_NAME[args.unit]
@@ -106,73 +134,30 @@ def cmd_analyze(args, out) -> int:
             counts.update(r.histogram.counts)
         if counts:
             histogram = LengthHistogram(dict(counts), sum(counts.values()))
-
-    if args.format == "json":
-        payload = {
-            "command": "analyze",
+    head = "analyze: %d sentence(s), unit=%s, g=%s\n" % (
+        len(reports), unit.value, g.spec()
+    )
+    _emit(
+        args,
+        out,
+        payload=lambda: {
             "unit": unit.value,
             "g": g.spec(),
-            "seed": args.seed,
             "sentences": [
                 dict(r.to_json_dict(), sentence=i)
                 for i, r in enumerate(reports, start=1)
             ],
             "histogram": histogram.to_json_dict() if histogram else None,
-        }
-        _emit_json(payload, out)
-        return 0
-
-    rows = [
-        [str(i), str(r.n), _render(r.sum_lengths), _render(r.D)]
-        for i, r in enumerate(reports, start=1)
-    ]
-    if args.format == "csv":
-        text = _csv(rows, ["sentence", "n", "sum_lengths", "D"])
-        if histogram:
-            text += "\n" + histogram.to_csv()
-        out.write(text)
-        return 0
-    out.write(
-        "analyze: %d sentence(s), unit=%s, g=%s\n"
-        % (len(reports), unit.value, g.spec())
+        },
+        header=["sentence", "n", "sum_lengths", "D"],
+        rows=lambda: [
+            [str(i), str(r.n), _render(r.sum_lengths), _render(r.D)]
+            for i, r in enumerate(reports, start=1)
+        ],
+        as_table=lambda body: head + body + _histogram_table(histogram),
+        as_csv=lambda body: body + ("\n" + histogram.to_csv() if histogram else ""),
     )
-    out.write(_table(rows, ["sentence", "n", "sum_lengths", "D"]) + "\n")
-    if histogram:
-        hrows = [
-            [str(d), str(c), _render(Fraction(c, histogram.total_edges))]
-            for d, c in sorted(histogram.counts.items())
-        ]
-        out.write("\ndistance histogram (words)\n")
-        out.write(_table(hrows, ["d", "count", "p"]) + "\n")
     return 0
-
-
-def _optimize_one(tree, unit, g, max_n, exact):
-    lin = tree.identity_linearization()
-    observed = cost_D(tree, lin, g, unit).D
-    if exact or tree.n <= max_n:
-        result = brute_force_mla(tree, unit=unit, g=g)
-        mode = "exhaustive"
-        optimal_count = len(result.optimal_orders)
-    elif unit is Unit.WORDS and g.kind == "identity":
-        result = projective_mla(tree)
-        mode = "projective"
-        optimal_count = None
-    else:
-        result = projective_enum_mla(tree, unit, g)
-        mode = "projective-enum"
-        optimal_count = None
-    gap = observed / result.min_cost if result.min_cost else Fraction(1)
-    return {
-        "n": tree.n,
-        "observed": observed,
-        "optimal": result.min_cost,
-        "gap": gap,
-        "search": mode,
-        "optimal_count": optimal_count,
-        "searched": result.searched,
-        "representative": list(result.representative.seq),
-    }
 
 
 def cmd_optimize(args, out) -> int:
@@ -183,14 +168,16 @@ def cmd_optimize(args, out) -> int:
     trees = _load_corpus(args)
     unit = UNIT_BY_NAME[args.unit]
     g = _cost_fn(args)
-    rows = [_optimize_one(t, unit, g, args.max_n, args.exact) for t in trees]
-
-    if args.format == "json":
-        payload = {
-            "command": "optimize",
+    results = [_optimize_one(t, unit, g, args.max_n, args.exact) for t in trees]
+    head = "optimize: %d sentence(s), unit=%s, g=%s, max_n=%d\n" % (
+        len(results), unit.value, g.spec(), args.max_n
+    )
+    _emit(
+        args,
+        out,
+        payload=lambda: {
             "unit": unit.value,
             "g": g.spec(),
-            "seed": args.seed,
             "max_n": args.max_n,
             "sentences": [
                 dict(
@@ -199,33 +186,24 @@ def cmd_optimize(args, out) -> int:
                     **{k: frac_str(r[k]) for k in RATIONAL_FIELDS},
                     **{k + "_dec": frac_dec(r[k]) for k in RATIONAL_FIELDS},
                 )
-                for i, r in enumerate(rows, start=1)
+                for i, r in enumerate(results, start=1)
             ],
-        }
-        _emit_json(payload, out)
-        return 0
-
-    cells = [
-        [
-            str(i),
-            str(r["n"]),
-            _render(r["observed"]),
-            _render(r["optimal"]),
-            _render(r["gap"]),
-            r["search"],
-            " ".join(str(t) for t in r["representative"]),
-        ]
-        for i, r in enumerate(rows, start=1)
-    ]
-    header = ["sentence", "n", "observed", "optimal", "gap", "search", "best_order"]
-    if args.format == "csv":
-        out.write(_csv(cells, header))
-        return 0
-    out.write(
-        "optimize: %d sentence(s), unit=%s, g=%s, max_n=%d\n"
-        % (len(rows), unit.value, g.spec(), args.max_n)
+        },
+        header=["sentence", "n", "observed", "optimal", "gap", "search", "best_order"],
+        rows=lambda: [
+            [
+                str(i),
+                str(r["n"]),
+                _render(r["observed"]),
+                _render(r["optimal"]),
+                _render(r["gap"]),
+                r["search"],
+                " ".join(str(t) for t in r["representative"]),
+            ]
+            for i, r in enumerate(results, start=1)
+        ],
+        as_table=lambda body: head + body,
     )
-    out.write(_table(cells, header) + "\n")
     return 0
 
 
@@ -234,30 +212,21 @@ def cmd_predict(args, out) -> int:
 
     reports = run_default_suite()
     all_hold = all(r.holds for r in reports)
-    payload = {
-        "command": "predict",
-        "seed": args.seed,
-        "all_hold": all_hold,
-        "reports": [r.to_json_dict() for r in reports],
-    }
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            _emit_json(payload, fh)
-    if args.format == "json":
-        _emit_json(payload, out)
-    else:
-        rows = [
+    tail = "all scenarios: %s\n" % ("pass" if all_hold else "FAIL")
+    _emit(
+        args,
+        out,
+        payload=lambda: {
+            "all_hold": all_hold,
+            "reports": [r.to_json_dict() for r in reports],
+        },
+        header=["scenario", "result", "min_cost"],
+        rows=lambda: [
             [r.name, "pass" if r.holds else "FAIL", frac_str(r.witness.min_cost)]
             for r in reports
-        ]
-        header = ["scenario", "result", "min_cost"]
-        if args.format == "csv":
-            out.write(_csv(rows, header))
-        else:
-            out.write(_table(rows, header) + "\n")
-            out.write(
-                "all scenarios: %s\n" % ("pass" if all_hold else "FAIL")
-            )
+        ],
+        as_table=lambda body: body + tail,
+    )
     return 0 if all_hold else 1
 
 
@@ -274,66 +243,51 @@ def cmd_pair(args, out) -> int:
         if len(p_values) <= 8
         else None
     )
-    if args.format == "json":
-        payload = {
-            "command": "pair",
-            "seed": args.seed,
+    assignment = sorted(result.assignment.items())
+    tail = "total: %s (%s)\n" % (frac_str(result.total), frac_dec(result.total))
+    if verified is not None:
+        tail += "verified against all assignments: %s\n" % (
+            "yes" if verified else "NO"
+        )
+    _emit(
+        args,
+        out,
+        payload=lambda: {
             "p": [frac_str(Fraction(v)) for v in p_values],
             "costs": [frac_str(Fraction(v)) for v in g_values],
-            "assignment": {
-                str(rank): frac_str(v)
-                for rank, v in sorted(result.assignment.items())
-            },
+            "assignment": {str(rank): frac_str(v) for rank, v in assignment},
             "total": frac_str(result.total),
             "total_dec": frac_dec(result.total),
             "verified_optimal": verified,
-        }
-        _emit_json(payload, out)
-    else:
-        rows = [
-            [
-                str(rank),
-                _render(Fraction(p_values[rank - 1])),
-                _render(v),
-            ]
-            for rank, v in sorted(result.assignment.items())
-        ]
-        header = ["rank", "p", "cost"]
-        if args.format == "csv":
-            rows.append(["total", "", _render(result.total)])
-            out.write(_csv(rows, header))
-        else:
-            out.write(_table(rows, header) + "\n")
-            out.write("total: %s (%s)\n" % (frac_str(result.total), frac_dec(result.total)))
-            if verified is not None:
-                out.write(
-                    "verified against all assignments: %s\n"
-                    % ("yes" if verified else "NO")
-                )
+        },
+        header=["rank", "p", "cost"],
+        rows=lambda: [
+            [str(rank), _render(Fraction(p_values[rank - 1])), _render(v)]
+            for rank, v in assignment
+        ],
+        as_table=lambda body: body + tail,
+        as_csv=lambda body: body + "total,,%s\n" % _render(result.total),
+    )
     return 0 if verified in (True, None) else 1
 
 
 def cmd_casestudy(args, out) -> int:
     unit = UNIT_BY_NAME[args.unit]
     report = compare_fixture(unit=unit)
-    if args.format == "json":
-        payload = dict(report.to_json_dict(), command="casestudy", seed=args.seed)
-        _emit_json(payload, out)
-    else:
-        rows = [
-            [e.label, e.gloss, _render(e.total)] for e in report.entries
-        ]
-        header = ["fixture", "gloss", "total_%s" % unit.value]
-        if args.format == "csv":
-            out.write(_csv(rows, header))
-        else:
-            out.write(_table(rows, header) + "\n")
-            out.write("ranking: %s\n" % " < ".join(report.ranking))
-            out.write(
-                "clitic (b) shorter than heavy verb-final (c): %s\n"
-                % ("yes" if report.holds else "NO")
-            )
-            out.write("svo (a) vs clitic (b): %s\n" % report.svo_vs_clitic)
+    tail = (
+        "ranking: %s\n" % " < ".join(report.ranking)
+        + "clitic (b) shorter than heavy verb-final (c): %s\n"
+        % ("yes" if report.holds else "NO")
+        + "svo (a) vs clitic (b): %s\n" % report.svo_vs_clitic
+    )
+    _emit(
+        args,
+        out,
+        payload=report.to_json_dict,
+        header=["fixture", "gloss", "total_%s" % unit.value],
+        rows=lambda: [[e.label, e.gloss, _render(e.total)] for e in report.entries],
+        as_table=lambda body: body + tail,
+    )
     return 0 if report.holds else 1
 
 
@@ -426,10 +380,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args, sys.stdout)
-    except DeplenError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as e:
+    except (DeplenError, ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 

@@ -40,6 +40,26 @@ def frac_dec(value) -> str:
     return repr(value.numerator / value.denominator)
 
 
+def _half_positions(tree, unit, seqs):
+    """Each token's doubled center, by token - 1, for each order in seqs.
+
+    A word is 1 wide in the words unit, so its doubled center is twice its
+    position, and its length plus one space wide in characters (see
+    word_centers).
+    """
+    chars = unit is Unit.CHARACTERS
+    widths = [0] + [t.char_length if chars else 1 for t in tree.tokens]
+    gap = 1 if chars else 0
+    for seq in seqs:
+        at = [0] * tree.n
+        start = 1
+        for t in seq:
+            w = widths[t]
+            at[t - 1] = 2 * start + w - 1
+            start += w + gap
+        yield at
+
+
 def word_centers(tree: DepTree, lin: Linearization) -> dict[int, int]:
     """Center of every word in half-character units.
 
@@ -48,22 +68,18 @@ def word_centers(tree: DepTree, lin: Linearization) -> dict[int, int]:
     (lam+1)/2 - 1 characters further right.  Returned values are the
     centers doubled, so they are always integers.
     """
-    centers = {}
-    start = 1
-    for t in lin.seq:
-        lam = tree.token(t).char_length
-        centers[t] = 2 * start + lam - 1
-        start += lam + 1
-    return centers
+    at = next(_half_positions(tree, Unit.CHARACTERS, (lin.seq,)))
+    return {t: at[t - 1] for t in lin.seq}
 
 
 def edge_halves(tree, lin, unit):
     """Per-edge lengths in half-units, ordered like tree.edges."""
-    if unit is Unit.WORDS:
-        pos = lin.positions()
-        return [2 * abs(pos[h] - pos[d]) for h, d in tree.edges]
-    centers = word_centers(tree, lin)
-    return [abs(centers[h] - centers[d]) for h, d in tree.edges]
+    if lin.n != tree.n:
+        raise ValueError(
+            "order has %d tokens but the tree has %d" % (lin.n, tree.n)
+        )
+    at = next(_half_positions(tree, unit, (lin.seq,)))
+    return [abs(at[h - 1] - at[d - 1]) for h, d in tree.edges]
 
 
 @dataclass(frozen=True)

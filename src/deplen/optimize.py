@@ -18,7 +18,7 @@ from itertools import chain, permutations, product
 
 from .costs import IDENTITY
 from .errors import InfeasibleConstraintsError, TooLargeError
-from .metrics import frac_dec, frac_str, sum_lengths
+from .metrics import _half_positions, cost_D, frac_dec, frac_str, sum_lengths
 from .tree import Linearization, Unit
 
 BRUTE_FORCE_MAX = 10
@@ -128,25 +128,6 @@ class MlaResult:
             "representative": list(self.representative.seq),
             "searched": self.searched,
         }
-
-
-def _half_positions(tree, unit, seqs):
-    """Each token's doubled center, by token - 1, for each order in seqs.
-
-    A word is 1 wide in the words unit, and its length plus one space wide
-    in characters.
-    """
-    chars = unit is Unit.CHARACTERS
-    widths = [0] + [t.char_length if chars else 1 for t in tree.tokens]
-    gap = 1 if chars else 0
-    for seq in seqs:
-        at = [0] * tree.n
-        start = 1
-        for t in seq:
-            w = widths[t]
-            at[t - 1] = 2 * start + w - 1
-            start += w + gap
-        yield at
 
 
 def _scan(table, costs, edges, placements):
@@ -320,3 +301,35 @@ def projective_mla(tree) -> MlaResult:
     lin = Linearization(tuple(_arrange(tree, tree.root, None)))
     cost = sum_lengths(tree, lin, Unit.WORDS)
     return MlaResult(cost, (lin,), 1)
+
+
+def _optimize_one(tree, unit, g, max_n, exact):
+    """Observed cost of the tree's own order against a searched minimum.
+
+    Exhaustive search when exact or n <= max_n; otherwise the projective
+    construction for words with identity cost, else projective enumeration.
+    """
+    observed = cost_D(tree, tree.identity_linearization(), g, unit).D
+    if exact or tree.n <= max_n:
+        result = brute_force_mla(tree, unit=unit, g=g)
+        mode = "exhaustive"
+        optimal_count = len(result.optimal_orders)
+    elif unit is Unit.WORDS and g.kind == "identity":
+        result = projective_mla(tree)
+        mode = "projective"
+        optimal_count = None
+    else:
+        result = projective_enum_mla(tree, unit, g)
+        mode = "projective-enum"
+        optimal_count = None
+    gap = observed / result.min_cost if result.min_cost else Fraction(1)
+    return {
+        "n": tree.n,
+        "observed": observed,
+        "optimal": result.min_cost,
+        "gap": gap,
+        "search": mode,
+        "optimal_count": optimal_count,
+        "searched": result.searched,
+        "representative": list(result.representative.seq),
+    }

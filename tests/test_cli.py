@@ -1,10 +1,13 @@
 """Command-line interface: formats, flags, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from deplen.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 
 def run(capsys, *argv):
@@ -330,3 +333,56 @@ class TestTopLevel:
             )
             outs.add(out)
         assert len(outs) == 1
+
+
+# Reference stdout, one file per case and format, saved from the CLI with
+# "--seed 7 --format FMT" appended to the arguments below (SAMPLE is
+# tests/data/sample.conllu).  Every byte of every format is pinned.
+GOLDEN_CASES = {
+    "analyze": ["analyze", "SAMPLE"],
+    "analyze-chars-log": ["analyze", "SAMPLE", "--unit", "chars", "--g", "log"],
+    "optimize": ["optimize", "SAMPLE"],
+    "predict": ["predict"],
+    "pair": ["pair"],
+    "casestudy": ["casestudy"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_output_matches_golden(capsys, sample_path, case, fmt):
+    argv = [str(sample_path) if a == "SAMPLE" else a for a in GOLDEN_CASES[case]]
+    code, out, err = run(capsys, *argv, "--seed", "7", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / ("%s.%s" % (case, fmt))).read_bytes().decode("utf-8")
+
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_each_format_builds_only_what_it_prints(capsys, monkeypatch, sample_path, case):
+    import deplen.casestudy as casestudy_mod
+    import deplen.cli as cli_mod
+    import deplen.metrics as metrics_mod
+    import deplen.predictions as pred_mod
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built the output of another format")
+
+    argv = [str(sample_path) if a == "SAMPLE" else a for a in GOLDEN_CASES[case]]
+    with monkeypatch.context() as m:
+        for name in ("_table", "_csv", "_render"):
+            m.setattr(cli_mod, name, forbidden)
+        code, _, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+    with monkeypatch.context() as m:
+        m.setattr(cli_mod.json, "dumps", forbidden)
+        for cls in (
+            metrics_mod.CostReport,
+            metrics_mod.LengthHistogram,
+            pred_mod.PredictionReport,
+            casestudy_mod.CaseStudyReport,
+        ):
+            m.setattr(cls, "to_json_dict", forbidden)
+        for fmt in ("table", "csv"):
+            code, _, err = run(capsys, *argv, "--format", fmt)
+            assert (code, err) == (0, "")

@@ -82,6 +82,13 @@ class TestEdgeLength:
         with pytest.raises(UnknownEdgeError):
             edge_length(t, lin, (3, 1))
 
+    def test_order_of_another_size_rejected(self):
+        t = svo_tree()
+        for seq in ((1, 2, 3), (1, 2, 3, 4, 5)):
+            for unit in Unit:
+                with pytest.raises(ValueError, match="order has"):
+                    sum_lengths(t, Linearization(seq), unit)
+
     def test_sum_of_lengths(self):
         t = svo_tree()
         assert sum_lengths(t, t.identity_linearization()) == 4
