@@ -18,14 +18,19 @@ from fractions import Fraction
 from . import __version__
 from .casestudy import compare_fixture
 from .conllu import drop_punctuation, parse_conllu
-from .costs import cost_function_from_spec, optimal_pairing, verify_pairing_optimal
+from .costs import (
+    PAIRING_VERIFY_MAX,
+    cost_function_from_spec,
+    optimal_pairing,
+    verify_pairing_optimal,
+)
 from .errors import DeplenError, EmptyCorpusError, TooLargeError
 from .metrics import LengthHistogram, cost_D, frac_dec, frac_str
 from .optimize import BRUTE_FORCE_MAX, _optimize_one
 from .tree import Unit
 
-UNIT_BY_NAME = {"words": Unit.WORDS, "chars": Unit.CHARACTERS}
 RATIONAL_FIELDS = ("observed", "optimal", "gap")  # optimize rows, exact and decimal
+UNIT_NAMES = tuple(u.value for u in Unit)
 
 
 def _render(value) -> str:
@@ -106,6 +111,17 @@ def _load_corpus(args):
     return trees
 
 
+def _each_sentence(fn, trees):
+    """fn(tree) for every tree; a DeplenError names its 1-based sentence."""
+    results = []
+    for i, tree in enumerate(trees, start=1):
+        try:
+            results.append(fn(tree))
+        except DeplenError as e:
+            raise type(e)("sentence %d: %s" % (i, e)) from e
+    return results
+
+
 def _cost_fn(args):
     return cost_function_from_spec(
         args.g, allow_nonmonotone=args.allow_nonmonotone_g
@@ -124,9 +140,11 @@ def _histogram_table(histogram) -> str:
 
 def cmd_analyze(args, out) -> int:
     trees = _load_corpus(args)
-    unit = UNIT_BY_NAME[args.unit]
+    unit = Unit(args.unit)
     g = _cost_fn(args)
-    reports = [cost_D(t, t.identity_linearization(), g, unit) for t in trees]
+    reports = _each_sentence(
+        lambda t: cost_D(t, t.identity_linearization(), g, unit), trees
+    )
     histogram = None
     if unit is Unit.WORDS:
         counts = Counter()
@@ -166,9 +184,11 @@ def cmd_optimize(args, out) -> int:
             "--max-n is capped at %d (exhaustive search)" % BRUTE_FORCE_MAX
         )
     trees = _load_corpus(args)
-    unit = UNIT_BY_NAME[args.unit]
+    unit = Unit(args.unit)
     g = _cost_fn(args)
-    results = [_optimize_one(t, unit, g, args.max_n, args.exact) for t in trees]
+    results = _each_sentence(
+        lambda t: _optimize_one(t, unit, g, args.max_n, args.exact), trees
+    )
     head = "optimize: %d sentence(s), unit=%s, g=%s, max_n=%d\n" % (
         len(results), unit.value, g.spec(), args.max_n
     )
@@ -240,7 +260,7 @@ def cmd_pair(args, out) -> int:
     result = optimal_pairing(p_values, g_values)
     verified = (
         verify_pairing_optimal(p_values, g_values)
-        if len(p_values) <= 8
+        if len(p_values) <= PAIRING_VERIFY_MAX
         else None
     )
     assignment = sorted(result.assignment.items())
@@ -272,7 +292,7 @@ def cmd_pair(args, out) -> int:
 
 
 def cmd_casestudy(args, out) -> int:
-    unit = UNIT_BY_NAME[args.unit]
+    unit = Unit(args.unit)
     report = compare_fixture(unit=unit)
     tail = (
         "ranking: %s\n" % " < ".join(report.ranking)
@@ -312,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("input", help="CoNLL-U file")
             p.add_argument(
                 "--unit",
-                choices=("words", "chars"),
+                choices=UNIT_NAMES,
                 default="words",
                 help="length unit (default: words)",
             )
@@ -366,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument(
         "--unit",
-        choices=("words", "chars"),
+        choices=UNIT_NAMES,
         default="chars",
         help="length unit (default: chars)",
     )

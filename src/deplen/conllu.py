@@ -78,6 +78,8 @@ def parse_conllu(text: str) -> list[DepTree]:
             raise ParseError(
                 "HEAD must be >= 0, got %d" % head, line=line_no
             )
+        if not fields[1]:
+            raise ParseError("empty FORM", line=line_no)
         rows.append((idx, fields[1], head, line_no))
     flush()
     return trees

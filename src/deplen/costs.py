@@ -253,13 +253,10 @@ class PairingResult:
     total: Fraction
 
 
-def optimal_pairing(p_values, g_values) -> PairingResult:
-    """Pair proportions with costs to minimize sum(p * g).
+PAIRING_VERIFY_MAX = 8  # largest m whose m! assignments are all checked
 
-    Sorts p descending and g ascending and pairs rank by rank, so the
-    largest proportion takes the smallest cost.  Ties keep input order;
-    any tie-break gives the same total.
-    """
+
+def _pairing_values(p_values, g_values):
     p = [_exact(v) for v in p_values]
     g = [_exact(v) for v in g_values]
     if not p or len(p) != len(g):
@@ -267,6 +264,17 @@ def optimal_pairing(p_values, g_values) -> PairingResult:
             "need two equally sized non-empty multisets, got %d and %d"
             % (len(p), len(g))
         )
+    return p, g
+
+
+def optimal_pairing(p_values, g_values) -> PairingResult:
+    """Pair proportions with costs to minimize sum(p * g).
+
+    Sorts p descending and g ascending and pairs rank by rank, so the
+    largest proportion takes the smallest cost.  Ties keep input order;
+    any tie-break gives the same total.
+    """
+    p, g = _pairing_values(p_values, g_values)
     by_p_desc = sorted(range(len(p)), key=lambda i: p[i], reverse=True)
     g_asc = sorted(g)
     assignment = {}
@@ -278,15 +286,11 @@ def optimal_pairing(p_values, g_values) -> PairingResult:
 
 def verify_pairing_optimal(p_values, g_values) -> bool:
     """Check the rank pairing against every one of the m! assignments."""
-    p = [_exact(v) for v in p_values]
-    g = [_exact(v) for v in g_values]
-    if not p or len(p) != len(g):
-        raise SizeMismatchError(
-            "need two equally sized non-empty multisets, got %d and %d"
-            % (len(p), len(g))
+    p, g = _pairing_values(p_values, g_values)
+    if len(p) > PAIRING_VERIFY_MAX:
+        raise TooLargeError(
+            "exhaustive check is limited to m <= %d" % PAIRING_VERIFY_MAX
         )
-    if len(p) > 8:
-        raise TooLargeError("exhaustive check is limited to m <= 8")
     best = min(
         sum((pi * gi for pi, gi in zip(p, perm)), Fraction(0))
         for perm in permutations(g)

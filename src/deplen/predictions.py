@@ -20,8 +20,7 @@ of the full optimal set:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .costs import IDENTITY, make_cost_function
 from .errors import RangeError
@@ -71,6 +70,23 @@ def _unit_tokens(n):
     return [Token(i, "", 1) for i in range(1, n + 1)]
 
 
+def _run(name, tree, g, constraint, judge) -> PredictionReport:
+    """Search tree in words under constraint and judge its optimal set.
+
+    g defaults to the identity cost.  judge(result, g) gives (holds,
+    counterexample, detail); the report adds the cost spec to detail
+    and is named <name>_<g.spec()>.
+    """
+    if g is None:
+        g = IDENTITY
+    result = brute_force_mla(tree, unit=Unit.WORDS, g=g, constraint=constraint)
+    holds, counterexample, detail = judge(result, g)
+    detail["g"] = g.spec()
+    return PredictionReport(
+        "%s_%s" % (name, g.spec()), holds, result, counterexample, detail
+    )
+
+
 def star_tree(k: int) -> DepTree:
     """One head (token 1) with k unit-length dependents."""
     heads = {1: 0}
@@ -86,44 +102,34 @@ def check_star_placement(k: int, g=None) -> PredictionReport:
     """
     if not 1 <= k <= 7:
         raise RangeError("star scenario supports k in 1..7, got %d" % k)
-    if g is None:
-        g = IDENTITY
     tree = star_tree(k)
-    n = k + 1
-    result = brute_force_mla(tree, unit=Unit.WORDS, g=g)
-    medians = {(n + 1) // 2, (n + 2) // 2}
-    head_positions = {lin.position(1) for lin in result.optimal_orders}
-    peripheral = cost_D(tree, tree.identity_linearization(), g).D
-    detail = {
-        "k": k,
-        "g": g.spec(),
-        "medians": sorted(medians),
-        "head_positions": sorted(head_positions),
-        "peripheral_cost": frac_str(peripheral),
-        "gap_vs_peripheral": frac_str(peripheral / result.min_cost)
-        if result.min_cost
-        else None,
-    }
-    if k == 1:
-        holds = len(result.optimal_orders) == result.searched == 2
-        detail["placement_irrelevant"] = holds
-        counterexample = None
-    else:
-        expected = len(medians) * math.factorial(k)
+    medians = {(k + 2) // 2, (k + 3) // 2}
+
+    def judge(result, g):
+        optima = result.optimal_orders
+        head_positions = {lin.position(1) for lin in optima}
+        peripheral = cost_D(tree, tree.identity_linearization(), g).D
+        detail = {
+            "k": k,
+            "medians": sorted(medians),
+            "head_positions": sorted(head_positions),
+            "peripheral_cost": frac_str(peripheral),
+            "gap_vs_peripheral": frac_str(peripheral / result.min_cost)
+            if result.min_cost
+            else None,
+        }
+        if k == 1:
+            holds = len(optima) == result.searched == 2
+            detail["placement_irrelevant"] = holds
+            return holds, None, detail
         holds = (
             head_positions == medians
-            and len(result.optimal_orders) == expected
+            and len(optima) == len(medians) * math.factorial(k)
         )
-        counterexample = next(
-            (
-                lin
-                for lin in result.optimal_orders
-                if lin.position(1) not in medians
-            ),
-            None,
-        )
-    name = "star_k%d_%s" % (k, g.spec())
-    return PredictionReport(name, holds, result, counterexample, detail)
+        off_median = (lin for lin in optima if lin.position(1) not in medians)
+        return holds, next(off_median, None), detail
+
+    return _run("star_k%d" % k, tree, g, None, judge)
 
 
 def _branching_scenario(position: str, m: int) -> tuple[Scenario, tuple, tuple]:
@@ -140,14 +146,9 @@ def _branching_scenario(position: str, m: int) -> tuple[Scenario, tuple, tuple]:
     heads.update({d: n1 for d in deps1})
     heads.update({d: n2 for d in deps2})
     tree = build_tree(_unit_tokens(n), heads)
-    block1 = (n1,) + deps1
-    block2 = (n2,) + deps2
-    if position == "initial":
-        blocks = ((1,), block1, block2)
-    elif position == "final":
-        blocks = (block1, block2, (1,))
-    else:
-        blocks = (block1, (1,), block2)
+    # the verb's block goes before, between or after the two arguments
+    blocks = [(n1,) + deps1, (n2,) + deps2]
+    blocks.insert(("initial", "medial", "final").index(position), (1,))
     scenario = Scenario(
         "branching_%s_m%d" % (position, m),
         tree,
@@ -167,6 +168,11 @@ def _placement(lin, head, deps):
     return "interior"
 
 
+# The argument-head placement the verb's side predicts, and the one no
+# optimum may take: (expected, never optimal).
+_FACING_THE_VERB = {"initial": ("first", "last"), "final": ("last", "first")}
+
+
 def check_verb_argument_branching(position: str, m: int = 1, g=None) -> PredictionReport:
     """Direction of head placement inside the two verbal arguments.
 
@@ -175,59 +181,43 @@ def check_verb_argument_branching(position: str, m: int = 1, g=None) -> Predicti
     verb final).  Verb medial: no direction is asserted; the observed
     placements are reported.
     """
-    if g is None:
-        g = IDENTITY
     scenario, (n1, deps1), (n2, deps2) = _branching_scenario(position, m)
-    result = brute_force_mla(
-        scenario.tree, unit=Unit.WORDS, g=g, constraint=scenario.constraint
-    )
-    placements = [
-        (_placement(lin, n1, deps1), _placement(lin, n2, deps2))
-        for lin in result.optimal_orders
-    ]
-    detail = {
-        "position": position,
-        "m": m,
-        "g": g.spec(),
-        "arg1_placements": sorted({p1 for p1, _ in placements}),
-        "arg2_placements": sorted({p2 for _, p2 in placements}),
-        "head_first_in_every_optimum": all(
-            p1 == "first" and p2 == "first" for p1, p2 in placements
-        ),
-        "head_last_in_every_optimum": all(
-            p1 == "last" and p2 == "last" for p1, p2 in placements
-        ),
-    }
-    counterexample = None
-    if position == "initial":
-        attained = ("first", "first") in placements
-        opposite = [
-            lin
-            for lin, (p1, p2) in zip(result.optimal_orders, placements)
-            if "last" in (p1, p2)
+
+    def judge(result, g):
+        optima = result.optimal_orders
+        placements = [
+            (_placement(lin, n1, deps1), _placement(lin, n2, deps2))
+            for lin in optima
         ]
-        holds = attained and not opposite
-        counterexample = opposite[0] if opposite else None
-    elif position == "final":
-        attained = ("last", "last") in placements
-        opposite = [
-            lin
-            for lin, (p1, p2) in zip(result.optimal_orders, placements)
-            if "first" in (p1, p2)
-        ]
-        holds = attained and not opposite
-        counterexample = opposite[0] if opposite else None
-    else:
-        holds = True
-        detail["asserted"] = False
-        detail["preverbal_head_last_in_all"] = all(
-            p1 == "last" for p1, _ in placements
+        detail = {
+            "position": position,
+            "m": m,
+            "arg1_placements": sorted({p1 for p1, _ in placements}),
+            "arg2_placements": sorted({p2 for _, p2 in placements}),
+            "head_first_in_every_optimum": all(
+                p == ("first", "first") for p in placements
+            ),
+            "head_last_in_every_optimum": all(
+                p == ("last", "last") for p in placements
+            ),
+        }
+        if position == "medial":
+            detail["asserted"] = False
+            detail["preverbal_head_last_in_all"] = all(
+                p1 == "last" for p1, _ in placements
+            )
+            detail["postverbal_head_first_in_all"] = all(
+                p2 == "first" for _, p2 in placements
+            )
+            return True, None, detail
+        expected, never = _FACING_THE_VERB[position]
+        opposite = next(
+            (lin for lin, p in zip(optima, placements) if never in p), None
         )
-        detail["postverbal_head_first_in_all"] = all(
-            p2 == "first" for _, p2 in placements
-        )
-    name = "%s_%s" % (scenario.name, g.spec())
-    return PredictionReport(name, holds, result, counterexample, detail)
+        holds = (expected, expected) in placements and opposite is None
+        return holds, opposite, detail
+
+    return _run(scenario.name, scenario.tree, g, scenario.constraint, judge)
 
 
 def auxiliary_tree() -> DepTree:
@@ -246,38 +236,28 @@ def check_auxiliary_placement(base: str, g=None) -> PredictionReport:
     """
     if base not in ("SOV", "VSO"):
         raise RangeError("base order must be SOV or VSO, got %r" % base)
-    if g is None:
-        g = IDENTITY
-    tree = auxiliary_tree()
-    s_block, o_block, m_block = (2, 3), (4, 5), (1,)
     if base == "SOV":
-        blocks = (s_block, o_block, m_block)
-        offset = 1  # expected: right after the head
+        blocks, offset = ((2, 3), (4, 5), (1,)), 1  # right after the head
     else:
-        blocks = (m_block, s_block, o_block)
-        offset = -1  # expected: right before the head
+        blocks, offset = ((1,), (2, 3), (4, 5)), -1  # right before the head
+
+    def judge(result, g):
+        optima = result.optimal_orders
+        violating = next(
+            (lin for lin in optima if lin.position(6) != lin.position(1) + offset),
+            None,
+        )
+        detail = {
+            "base": base,
+            "expected_offset_from_head": offset,
+            "observed_offsets": sorted(
+                {lin.position(6) - lin.position(1) for lin in optima}
+            ),
+        }
+        return violating is None, violating, detail
+
     constraint = PrecedenceConstraint(blocks=blocks)
-    result = brute_force_mla(
-        tree, unit=Unit.WORDS, g=g, constraint=constraint
-    )
-    violating = [
-        lin
-        for lin in result.optimal_orders
-        if lin.position(6) != lin.position(1) + offset
-    ]
-    holds = not violating
-    detail = {
-        "base": base,
-        "g": g.spec(),
-        "expected_offset_from_head": offset,
-        "observed_offsets": sorted(
-            {lin.position(6) - lin.position(1) for lin in result.optimal_orders}
-        ),
-    }
-    name = "auxiliary_%s_%s" % (base, g.spec())
-    return PredictionReport(
-        name, holds, result, violating[0] if violating else None, detail
-    )
+    return _run("auxiliary_%s" % base, auxiliary_tree(), g, constraint, judge)
 
 
 def antilocality_demo(adjectives_per_noun: int = 2, mirror: bool = False) -> PredictionReport:
@@ -303,21 +283,19 @@ def antilocality_demo(adjectives_per_noun: int = 2, mirror: bool = False) -> Pre
     tree = build_tree(_unit_tokens(verb), heads)
 
     def block(adjs, noun, slot):
-        rest = list(adjs)
-        out = rest[: slot - 1] + [noun] + rest[slot - 1:]
-        return tuple(out)
+        return adjs[: slot - 1] + (noun,) + adjs[slot - 1:]
 
-    final_slot = j + 1
-    central_slot = (j + 2) // 2
-    seq_final = block(adjs1, n1, final_slot) + block(adjs2, n2, final_slot) + (verb,)
-    seq_central = (
-        block(adjs1, n1, central_slot)
-        + block(adjs2, n2, central_slot)
-        + (verb,)
+    def sov_order(slot):
+        return block(adjs1, n1, slot) + block(adjs2, n2, slot) + (verb,)
+
+    # The noun-edge and noun-central orders and the witness's block order,
+    # verb last.  The mirror reverses all three; a block's own order is free.
+    sov = (
+        sov_order(j + 1),
+        sov_order((j + 2) // 2),
+        (adjs1 + (n1,), adjs2 + (n2,), (verb,)),
     )
-    if mirror:
-        seq_final = tuple(reversed(seq_final))
-        seq_central = tuple(reversed(seq_central))
+    seq_final, seq_central, blocks = (s[::-1] for s in sov) if mirror else sov
     lin_final = Linearization(seq_final)
     lin_central = Linearization(seq_central)
 
@@ -339,16 +317,10 @@ def antilocality_demo(adjectives_per_noun: int = 2, mirror: bool = False) -> Pre
     pointwise_no_shorter = all(
         inside_final[a] >= inside_central[a] for a in inside_final
     )
-    vacuous = j < 2
 
-    constraint = PrecedenceConstraint(
-        blocks=(
-            (tuple(reversed(adjs1 + (n1,))), tuple(reversed(adjs2 + (n2,))), (verb,))
-            if mirror
-            else (adjs1 + (n1,), adjs2 + (n2,), (verb,))
-        )
+    witness = brute_force_mla(
+        tree, unit=Unit.WORDS, constraint=PrecedenceConstraint(blocks=blocks)
     )
-    witness = brute_force_mla(tree, unit=Unit.WORDS, constraint=constraint)
 
     holds = (
         pointwise_no_shorter
@@ -365,7 +337,7 @@ def antilocality_demo(adjectives_per_noun: int = 2, mirror: bool = False) -> Pre
         "convex_cost_noun_edge": frac_str(convex_final),
         "convex_cost_noun_central": frac_str(convex_central),
         "inside_lengths_pointwise_no_shorter": pointwise_no_shorter,
-        "vacuous": vacuous,
+        "vacuous": j < 2,
     }
     name = "antilocality_%s%s" % ("vos" if mirror else "sov", "" if j == 2 else "_j%d" % j)
     return PredictionReport(name, holds, witness, None, detail)

@@ -16,6 +16,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def write_corpus(path, *sentences):
+    """Write one CoNLL-U sentence per list of heads (token i has heads[i-1])."""
+    row = "%d\tw\t_\t_\t_\t_\t%d\t_\t_\t_"
+    blocks = [
+        "\n".join(row % (i, h) for i, h in enumerate(heads, start=1))
+        for heads in sentences
+    ]
+    path.write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
+    return str(path)
+
+
 class TestAnalyze:
     def test_table_output(self, capsys, sample_path):
         code, out, err = run(capsys, "analyze", str(sample_path))
@@ -121,6 +132,14 @@ class TestAnalyze:
         )
         assert code == 0
 
+    def test_short_cost_table_names_the_sentence(self, capsys, tmp_path):
+        corpus = write_corpus(tmp_path / "c.conllu", [2, 0], [0, 1, 1])
+        table = tmp_path / "g.csv"
+        table.write_text("1,1\n", encoding="utf-8")
+        code, out, err = run(capsys, "analyze", corpus, "--g", "table:%s" % table)
+        assert (code, out) == (2, "")
+        assert err == "error: sentence 2: table has no cost for d=2 (domain 1..1)\n"
+
 
 class TestOptimize:
     def test_table_output(self, capsys, sample_path):
@@ -197,6 +216,16 @@ class TestOptimize:
         code, _, err = run(capsys, "optimize", str(sample_path), "--max-n", "11")
         assert code == 2
         assert "capped" in err
+
+    def test_projective_limit_names_the_sentence(self, capsys, tmp_path):
+        chain = [0] + list(range(1, 13))  # 13 tokens, each headed by the one before
+        corpus = write_corpus(tmp_path / "c.conllu", [2, 0], chain)
+        code, out, err = run(capsys, "optimize", corpus, "--unit", "chars")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: sentence 2: projective enumeration is limited to n <= 12,"
+            " got n = 13\n"
+        )
 
     def test_csv_output(self, capsys, sample_path):
         code, out, _ = run(capsys, "optimize", str(sample_path), "--format", "csv")
@@ -286,6 +315,14 @@ class TestPair:
         code, _, err = run(capsys, "pair", "--p", "0.5,0.5", "--costs", "1")
         assert code == 2
         assert err.startswith("error:")
+
+    def test_nine_values_skip_the_exhaustive_check(self, capsys):
+        values = ",".join(str(v) for v in range(1, 10))
+        code, out, _ = run(
+            capsys, "pair", "--p", values, "--costs", values, "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["verified_optimal"] is None
 
     def test_float_values_are_parsed_as_exact_decimals(self, capsys):
         code, out, _ = run(

@@ -79,6 +79,13 @@ class TestParse:
             parse_conllu(text)
         assert exc.value.line == 4
 
+    def test_empty_form_names_its_line(self):
+        text = row(1, "il", 2) + "\n" + row(2, "", 0) + "\n"
+        with pytest.raises(ParseError) as exc:
+            parse_conllu(text)
+        assert exc.value.line == 2
+        assert str(exc.value) == "line 2: empty FORM"
+
 
 class TestRoundTrip:
     def test_parse_serialize_parse(self, sample_trees):

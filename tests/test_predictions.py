@@ -189,6 +189,13 @@ class TestAntilocality:
         assert b.detail["noun_edge_order"] == list(
             reversed(a.detail["noun_edge_order"])
         )
+        # the VOS witness is searched verb-first, the SOV one verb-last
+        verb = 7
+        assert all(lin.position(verb) == 1 for lin in b.witness.optimal_orders)
+        assert all(lin.position(verb) == 7 for lin in a.witness.optimal_orders)
+        assert b.witness.min_cost == a.witness.min_cost
+        assert len(b.witness.optimal_orders) == len(a.witness.optimal_orders)
+        assert b.witness.searched == a.witness.searched
 
     def test_single_adjective_case_is_vacuous_but_holds(self):
         r = antilocality_demo(adjectives_per_noun=1)
