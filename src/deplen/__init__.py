@@ -69,7 +69,6 @@ from .optimize import (
 )
 from .predictions import (
     PredictionReport,
-    Scenario,
     antilocality_demo,
     check_auxiliary_placement,
     check_star_placement,
@@ -112,7 +111,6 @@ __all__ = [
     "PrecedenceConstraint",
     "PredictionReport",
     "RangeError",
-    "Scenario",
     "SizeMismatchError",
     "Token",
     "TooLargeError",

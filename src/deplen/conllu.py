@@ -86,14 +86,18 @@ def parse_conllu(text: str) -> list[DepTree]:
 
 
 def to_conllu(trees) -> str:
-    """Serialize trees back to the CoNLL-U subset (ID, FORM, HEAD)."""
+    """Serialize trees back to the CoNLL-U subset (ID, FORM, HEAD).
+
+    An empty (synthetic) form is written as char_length underscores, so
+    character lengths survive a round trip.
+    """
     blocks = []
     for tree in trees:
         lines = []
         for tok in tree.tokens:
             fields = ["_"] * 10
             fields[0] = str(tok.index)
-            fields[1] = tok.form if tok.form else "_"
+            fields[1] = tok.form or "_" * tok.char_length
             fields[6] = str(tree.head_of(tok.index))
             lines.append("\t".join(fields))
         blocks.append("\n".join(lines))

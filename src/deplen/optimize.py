@@ -12,6 +12,7 @@ result.
 
 from __future__ import annotations
 
+import graphlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, permutations, product
@@ -86,25 +87,13 @@ class PrecedenceConstraint:
 
 
 def _check_acyclic(constraint: PrecedenceConstraint):
-    succ = constraint.ordering_digraph()
-    state = {}
-
-    def visit(v):
-        state[v] = 1
-        for w in succ.get(v, ()):
-            s = state.get(w)
-            if s == 1:
-                raise InfeasibleConstraintsError(
-                    "precedence constraints contain a cycle through token %d"
-                    % w
-                )
-            if s is None:
-                visit(w)
-        state[v] = 2
-
-    for v in list(succ):
-        if state.get(v) is None:
-            visit(v)
+    try:
+        graphlib.TopologicalSorter(constraint.ordering_digraph()).prepare()
+    except graphlib.CycleError as e:
+        raise InfeasibleConstraintsError(
+            "precedence constraints contain a cycle through token %d"
+            % e.args[1][0]
+        ) from None
 
 
 @dataclass(frozen=True)

@@ -32,16 +32,6 @@ POWER2 = make_cost_function("power", exponent=2)
 
 
 @dataclass(frozen=True)
-class Scenario:
-    """A named tree plus the order constraints it is searched under."""
-
-    name: str
-    tree: DepTree
-    constraint: PrecedenceConstraint | None
-    description: str
-
-
-@dataclass(frozen=True)
 class PredictionReport:
     """Outcome of one scenario check."""
 
@@ -132,32 +122,6 @@ def check_star_placement(k: int, g=None) -> PredictionReport:
     return _run("star_k%d" % k, tree, g, None, judge)
 
 
-def _branching_scenario(position: str, m: int) -> tuple[Scenario, tuple, tuple]:
-    if position not in ("initial", "medial", "final"):
-        raise RangeError("verb position must be initial, medial or final")
-    if m not in (1, 2):
-        raise RangeError("supported dependents per argument: 1 or 2")
-    # verb = 1; argument heads 2 and m+3; each with m dependents
-    n1, n2 = 2, m + 3
-    deps1 = tuple(range(3, 3 + m))
-    deps2 = tuple(range(m + 4, m + 4 + m))
-    n = 3 + 2 * m
-    heads = {1: 0, n1: 1, n2: 1}
-    heads.update({d: n1 for d in deps1})
-    heads.update({d: n2 for d in deps2})
-    tree = build_tree(_unit_tokens(n), heads)
-    # the verb's block goes before, between or after the two arguments
-    blocks = [(n1,) + deps1, (n2,) + deps2]
-    blocks.insert(("initial", "medial", "final").index(position), (1,))
-    scenario = Scenario(
-        "branching_%s_m%d" % (position, m),
-        tree,
-        PrecedenceConstraint(blocks=blocks),
-        "verb %s, two arguments with %d dependent(s) each" % (position, m),
-    )
-    return scenario, (n1, deps1), (n2, deps2)
-
-
 def _placement(lin, head, deps):
     hp = lin.position(head)
     dps = [lin.position(d) for d in deps]
@@ -181,7 +145,21 @@ def check_verb_argument_branching(position: str, m: int = 1, g=None) -> Predicti
     verb final).  Verb medial: no direction is asserted; the observed
     placements are reported.
     """
-    scenario, (n1, deps1), (n2, deps2) = _branching_scenario(position, m)
+    if position not in ("initial", "medial", "final"):
+        raise RangeError("verb position must be initial, medial or final")
+    if m not in (1, 2):
+        raise RangeError("supported dependents per argument: 1 or 2")
+    # verb = 1; argument heads 2 and m+3; each with m dependents
+    n1, n2 = 2, m + 3
+    deps1 = tuple(range(3, 3 + m))
+    deps2 = tuple(range(m + 4, m + 4 + m))
+    heads = {1: 0, n1: 1, n2: 1}
+    heads.update({d: n1 for d in deps1})
+    heads.update({d: n2 for d in deps2})
+    tree = build_tree(_unit_tokens(3 + 2 * m), heads)
+    # the verb's block goes before, between or after the two arguments
+    blocks = [(n1,) + deps1, (n2,) + deps2]
+    blocks.insert(("initial", "medial", "final").index(position), (1,))
 
     def judge(result, g):
         optima = result.optimal_orders
@@ -217,7 +195,8 @@ def check_verb_argument_branching(position: str, m: int = 1, g=None) -> Predicti
         holds = (expected, expected) in placements and opposite is None
         return holds, opposite, detail
 
-    return _run(scenario.name, scenario.tree, g, scenario.constraint, judge)
+    constraint = PrecedenceConstraint(blocks=blocks)
+    return _run("branching_%s_m%d" % (position, m), tree, g, constraint, judge)
 
 
 def auxiliary_tree() -> DepTree:

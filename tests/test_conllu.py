@@ -6,7 +6,9 @@ from deplen import (
     NonLeafPunctuationError,
     ParseError,
     Token,
+    Unit,
     build_tree,
+    cost_D,
     drop_punctuation,
     is_punctuation,
     parse_conllu,
@@ -58,6 +60,22 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_conllu(text)
 
+    @pytest.mark.parametrize(
+        "tid, head, message",
+        [
+            ("0", "1", "ID must be >= 1, got 0"),
+            ("2", "-1", "HEAD must be >= 0, got -1"),
+        ],
+    )
+    def test_out_of_range_id_and_head(self, tid, head, message):
+        text = row(1, "il", 0) + "\n" + "\t".join(
+            [tid, "x", "_", "_", "_", "_", head, "_", "_", "_"]
+        )
+        with pytest.raises(ParseError) as exc:
+            parse_conllu(text)
+        assert exc.value.line == 2
+        assert str(exc.value) == "line 2: " + message
+
     def test_duplicate_and_gapped_ids(self):
         dup = row(1, "a", 0) + "\n" + row(1, "b", 1)
         with pytest.raises(ParseError):
@@ -95,6 +113,13 @@ class TestRoundTrip:
         for a, b in zip(sample_trees, again):
             assert a.heads == b.heads
             assert [t.form for t in a.tokens] == [t.form for t in b.tokens]
+
+    def test_synthetic_char_lengths_survive(self):
+        t = build_tree([Token(1, "", 3), Token(2, "", 5)], {1: 2, 2: 0})
+        (again,) = parse_conllu(to_conllu([t]))
+        lin = t.identity_linearization()
+        assert cost_D(again, lin, unit=Unit.CHARACTERS).D == 5
+        assert cost_D(t, lin, unit=Unit.CHARACTERS).D == 5
 
     def test_serialized_shape(self):
         t = build_tree([Token(1, "il"), Token(2, "dort")], {1: 2, 2: 0})

@@ -16,6 +16,7 @@ from deplen import (
     CostFunction,
     DomainError,
     Linearization,
+    PrecedenceConstraint,
     Token,
     Unit,
     brute_force_mla,
@@ -65,11 +66,10 @@ def oracle_cost(g, halves):
     return sum((g(Fraction(h, 2)) for h in halves), Fraction(0))
 
 
-def oracle_mla(tree, unit, g):
-    costs = {
-        seq: oracle_cost(g, oracle_halves(tree, seq, unit))
-        for seq in permutations(range(1, tree.n + 1))
-    }
+def oracle_mla(tree, unit, g, seqs=None):
+    if seqs is None:
+        seqs = permutations(range(1, tree.n + 1))
+    costs = {seq: oracle_cost(g, oracle_halves(tree, seq, unit)) for seq in seqs}
     best = min(costs.values())
     return best, sorted(s for s, c in costs.items() if c == best)
 
@@ -109,18 +109,34 @@ def test_cost_D_matches_the_fraction_oracle(unit, csv_table):
             assert sum_lengths(t, lin, unit) == rep.sum_lengths
 
 
+def random_constraints(n, rng):
+    """One pair, and blocks that leave at least one token free."""
+    yield PrecedenceConstraint(pairs={tuple(rng.sample(range(1, n + 1), 2))})
+    tokens = rng.sample(range(1, n + 1), n)
+    k = rng.randrange(1, n)  # tokens in blocks
+    cut = rng.randrange(1, k + 1)
+    yield PrecedenceConstraint(blocks=[b for b in (tokens[:cut], tokens[cut:k]) if b])
+
+
 @pytest.mark.parametrize("spec", ["power:2", "log"])
 def test_brute_force_matches_a_plain_permutation_loop(spec):
     rng = random.Random(77)
+    pick = random.Random(78)
     g = cost_function_from_spec(spec)
     for _ in range(10):
         t = random_sentence(rng.randrange(2, 8), rng)
-        best, optima = oracle_mla(t, Unit.CHARACTERS, g)
-        res = brute_force_mla(t, unit=Unit.CHARACTERS, g=g)
-        assert res.min_cost == best
-        assert len(res.optimal_orders) == len(optima)
-        assert res.representative.seq == optima[0]
-        assert res.searched == len(list(permutations(range(t.n))))
+        for constraint in (None, *random_constraints(t.n, pick)):
+            seqs = [
+                seq for seq in permutations(range(1, t.n + 1))
+                if constraint is None
+                or constraint.satisfied_by({tok: p for p, tok in enumerate(seq, 1)})
+            ]
+            best, optima = oracle_mla(t, Unit.CHARACTERS, g, seqs)
+            res = brute_force_mla(t, unit=Unit.CHARACTERS, g=g, constraint=constraint)
+            assert res.min_cost == best
+            assert len(res.optimal_orders) == len(optima)
+            assert res.representative.seq == optima[0]
+            assert res.searched == len(seqs)
 
 
 def test_searches_rescale_when_a_new_denominator_appears():

@@ -171,11 +171,39 @@ class TestConstraints:
         assert [l.seq for l in res.optimal_orders] == [(3, 2, 1)]
         assert res.searched == 2  # internal order of the block stays free
 
-    def test_pair_cycle_is_rejected_up_front(self):
+    def test_pair_cycle_is_rejected_up_front(self, monkeypatch):
         with pytest.raises(InfeasibleConstraintsError):
             brute_force_mla(
                 chain3(), constraint=PrecedenceConstraint(pairs={(1, 2), (2, 1)})
             )
+
+        def scanned(self, pos):
+            pytest.fail("an order was scanned under a cyclic constraint")
+
+        monkeypatch.setattr(PrecedenceConstraint, "satisfied_by", scanned)
+        chain10 = build_tree(toks(10), {i: i - 1 for i in range(1, 11)})
+        with pytest.raises(InfeasibleConstraintsError):
+            brute_force_mla(
+                chain10, constraint=PrecedenceConstraint(pairs={(9, 10), (10, 9)})
+            )
+
+    @pytest.mark.parametrize(
+        "pairs, blocks, cycle",
+        [
+            ({(1, 2), (2, 1), (3, 1), (2, 4)}, None, {1, 2}),
+            ({(1, 2), (2, 3), (3, 1), (4, 1), (3, 5)}, None, {1, 2, 3}),
+            ({(3, 1)}, ((1, 2), (3,), (4, 5)), {1, 3}),
+        ],
+    )
+    def test_cycle_error_names_a_token_on_the_cycle(self, pairs, blocks, cycle):
+        tree = build_tree(toks(5), {i: i - 1 for i in range(1, 6)})
+        constraint = PrecedenceConstraint(pairs=pairs, blocks=blocks)
+        with pytest.raises(InfeasibleConstraintsError) as exc:
+            brute_force_mla(tree, constraint=constraint)
+        message = str(exc.value)
+        prefix = "precedence constraints contain a cycle through token "
+        assert message.startswith(prefix)
+        assert int(message[len(prefix):]) in cycle
 
     def test_block_order_conflicting_with_pair_is_a_cycle(self):
         with pytest.raises(InfeasibleConstraintsError):
