@@ -1,13 +1,13 @@
 """Minimum linear arrangement searches over dependency trees.
 
 brute_force_mla enumerates every permutation (n <= 10), optionally
-filtered by precedence/contiguity constraints.  enumerate_projective
-yields exactly the projective arrangements (n <= 12), and
-projective_enum_mla scores them all for any unit and cost.
-projective_mla constructs an optimal projective arrangement directly
-for the words unit with identity cost.  Costs are summed as integers
-through the cost function's HalfTable; a Fraction is built once per
-result.
+filtered by precedence/contiguity constraints.  projective_minimum finds
+the exact projective minimum for any unit and cost by a tree DP, at any
+n but at most 16 dependents per head; projective_mla constructs one
+directly for words and identity cost.  enumerate_projective lazily yields
+every projective arrangement (n <= 12), a test oracle.  Costs are summed
+as integers through the cost function's HalfTable; a Fraction is built
+once per result.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from __future__ import annotations
 import graphlib
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, permutations, product
+from itertools import permutations
+from math import factorial
 
 from .costs import IDENTITY
 from .errors import InfeasibleConstraintsError, TooLargeError
@@ -24,6 +25,7 @@ from .tree import Linearization, Unit
 
 BRUTE_FORCE_MAX = 10
 PROJECTIVE_ENUM_MAX = 12
+PROJECTIVE_DEGREE_MAX = 16
 
 
 @dataclass(frozen=True)
@@ -122,9 +124,9 @@ class MlaResult:
 def _scan(table, costs, edges, placements):
     """(minimum scaled cost, the placements attaining it, placements seen).
 
-    costs[k] is the scaled cost of distance k.  A miss fills table, which
-    rescales table.ints in place, so costs must be table.ints unless it
-    already holds every distance the placements can meet.
+    costs[k] is the scaled cost of distance k: for brute_force_mla a
+    prefilled slice by word distance, or in characters table.ints itself,
+    which a miss fills and so rescales in place.
     """
     best = None
     optimal = []
@@ -202,18 +204,18 @@ def brute_force_mla(tree, unit=Unit.WORDS, g=None, constraint=None) -> MlaResult
     return MlaResult(Fraction(best, table.scale), orders, searched)
 
 
-def _subtree_seqs(tree, v):
-    kids = tree.children(v)
-    if not kids:
-        return [(v,)]
-    kid_seqs = {c: _subtree_seqs(tree, c) for c in kids}
-    units = (v,) + kids
-    out = []
-    for perm in permutations(units):
-        parts = [[(v,)] if u == v else kid_seqs[u] for u in perm]
-        for combo in product(*parts):
-            out.append(tuple(chain.from_iterable(combo)))
-    return out
+def _projective_seqs(tree, v, units=None):
+    """Lazily yield v's projective subtree orders; units sets v's and kids' order."""
+    if units is None:
+        for units in permutations((v,) + tree.children(v)):
+            yield from _projective_seqs(tree, v, units)
+    elif not units:
+        yield ()
+    else:
+        first = ((v,),) if units[0] == v else _projective_seqs(tree, units[0])
+        for head in first:
+            for rest in _projective_seqs(tree, v, units[1:]):
+                yield head + rest
 
 
 def enumerate_projective(tree):
@@ -221,34 +223,82 @@ def enumerate_projective(tree):
 
     Every subtree occupies a contiguous span; at each node the head and
     its dependents' spans are interleaved in all possible orders.  The
-    count is the product over nodes of (children + 1)!.  Guarded at
-    n <= 12; note that degenerate trees can still make that count huge.
+    count is the product over nodes of (children + 1)!, built one order at
+    a time.  Guarded at n <= 12, since that count can still be huge.
     """
     if tree.n > PROJECTIVE_ENUM_MAX:
         raise TooLargeError(
             "projective enumeration is limited to n <= %d, got n = %d"
             % (PROJECTIVE_ENUM_MAX, tree.n)
         )
-    for seq in _subtree_seqs(tree, tree.root):
+    for seq in _projective_seqs(tree, tree.root):
         yield Linearization(seq)
 
 
-def projective_enum_mla(tree, unit=Unit.WORDS, g=None) -> MlaResult:
-    """Minimum over every projective arrangement, for any unit and cost.
+def projective_minimum(tree, unit=Unit.WORDS, g=None) -> MlaResult:
+    """Exact minimum over every projective arrangement, for any unit and cost.
 
-    Scores each order of enumerate_projective (so n <= 12) through g's
-    HalfTable.  Returns one optimum, the lexicographically smallest.
+    Each subtree fills one block, so a dependent's doubled edge length
+    depends only on its head's width, its own head's offset in its block
+    and the width b of the sibling blocks in between.  best[v] maps v's
+    doubled offset to the least (cost, token sequence) of v's block; each
+    side of v is a subset DP over its dependents, outermost block added
+    last.  Blocks of one subtree hold the same tokens, so the least
+    (cost, sequence) is the lexicographically smallest optimum.
     """
-    if g is None:
-        g = IDENTITY
-    table = g.half_table
-    seqs = (lin.seq for lin in enumerate_projective(tree))
-    edges = [(h - 1, d - 1) for h, d in tree.edges]
-    best, optimal, searched = _scan(
-        table, table.ints, edges, _half_positions(tree, unit, seqs)
-    )
-    first = Linearization(min(map(_order, optimal)))
-    return MlaResult(Fraction(best, table.scale), (first,), searched)
+    degree = max(len(tree.children(v)) for v in range(1, tree.n + 1))
+    if degree > PROJECTIVE_DEGREE_MAX:
+        raise TooLargeError(
+            "projective search is limited to %d dependents per head, got %d"
+            % (PROJECTIVE_DEGREE_MAX, degree)
+        )
+    table = (g or IDENTITY).half_table
+    gap = int(unit is Unit.CHARACTERS)
+    lam = [0] + [t.char_length if gap else 1 for t in tree.tokens]
+
+    def length(left, v, c, off, b):  # from v's center to c's, doubled
+        near = 2 * span[c] - off - 1 if left else off + 2 * gap + 1
+        return 2 * b + lam[v] + near
+
+    best, span, searched = {}, {}, 1
+    for v in sorted(range(1, tree.n + 1), key=tree.subtree_size):  # dependents first
+        cs = tree.children(v)
+        searched *= factorial(len(cs) + 1)  # the projective orders
+        span[v] = lam[v] + gap + sum(span[c] for c in cs)
+        full = (1 << len(cs)) - 1
+        width = [0] * (full + 1)  # the span of each subset of cs
+        for s in range(1, full + 1):
+            width[s] = width[s & (s - 1)] + span[cs[(s & -s).bit_length() - 1]]
+        between = [{width[s] for s in range(full + 1) if not s >> i & 1}
+                   for i in range(len(cs))]
+        grown = table.fill(sorted({
+            length(left, v, c, off, b) for left in (True, False)
+            for c, bs in zip(cs, between) for off in best[c] for b in bs
+        }))
+        if grown != 1:  # the costs summed so far are at the old scale
+            for block in best.values():
+                block.update({o: (x * grown, q) for o, (x, q) in block.items()})
+        sides = []
+        for left in (True, False):
+            place = [{b: min((cost + table.ints[length(left, v, c, off, b)], seq)
+                             for off, (cost, seq) in best[c].items())
+                      for b in bs} for c, bs in zip(cs, between)]
+
+            def outermost(inner, i):  # block i beyond the blocks in inner
+                (cost, seq), (c0, s0) = place[i][width[inner]], side[inner]
+                return c0 + cost, (seq + s0 if left else s0 + seq)
+            side = [(0, ())]
+            for s in range(1, full + 1):
+                side.append(min(outermost(s ^ 1 << i, i)
+                                for i in range(len(cs)) if s >> i & 1))
+            sides.append(side)
+        best[v] = {}
+        for s in range(full + 1):
+            (lc, ls), (rc, rs) = sides[0][s], sides[1][full ^ s]
+            off, cand = 2 * width[s] + lam[v] - 1, (lc + rc, ls + (v,) + rs)
+            best[v][off] = min(cand, best[v].get(off, cand))
+    cost, seq = min(best[tree.root].values())
+    return MlaResult(Fraction(cost, table.scale), (Linearization(seq),), searched)
 
 
 def _arrange(tree, v, parent_side):
@@ -296,7 +346,7 @@ def _optimize_one(tree, unit, g, max_n, exact):
     """Observed cost of the tree's own order against a searched minimum.
 
     Exhaustive search when exact or n <= max_n; otherwise the projective
-    construction for words with identity cost, else projective enumeration.
+    construction for words with identity cost, else the projective tree DP.
     """
     observed = cost_D(tree, tree.identity_linearization(), g, unit).D
     if exact or tree.n <= max_n:
@@ -308,7 +358,7 @@ def _optimize_one(tree, unit, g, max_n, exact):
         mode = "projective"
         optimal_count = None
     else:
-        result = projective_enum_mla(tree, unit, g)
+        result = projective_minimum(tree, unit, g)
         mode = "projective-enum"
         optimal_count = None
     gap = observed / result.min_cost if result.min_cost else Fraction(1)

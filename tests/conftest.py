@@ -1,11 +1,12 @@
 """Shared fixtures: the sample corpus and an import path fallback."""
 
+import importlib.util
 import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
-if str(SRC) not in sys.path:
+if importlib.util.find_spec("deplen") is None:  # PYTHONPATH or an install wins
     sys.path.insert(0, str(SRC))
 
 import pytest

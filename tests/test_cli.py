@@ -1,10 +1,20 @@
 """Command-line interface: formats, flags, exit codes, determinism."""
 
 import json
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from deplen import (
+    Linearization,
+    Unit,
+    cost_D,
+    cost_function_from_spec,
+    is_projective,
+    random_tree,
+)
 from deplen.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
@@ -217,15 +227,43 @@ class TestOptimize:
         assert code == 2
         assert "capped" in err
 
-    def test_projective_limit_names_the_sentence(self, capsys, tmp_path):
+    def test_chars_search_has_no_length_limit(self, capsys, tmp_path):
         chain = [0] + list(range(1, 13))  # 13 tokens, each headed by the one before
         corpus = write_corpus(tmp_path / "c.conllu", [2, 0], chain)
+        code, out, err = run(
+            capsys, "optimize", corpus, "--unit", "chars", "--format", "json"
+        )
+        assert (code, err) == (0, "")
+        row = json.loads(out)["sentences"][1]
+        assert (row["search"], row["optimal"]) == ("projective-enum", "24")
+        assert row["searched"] == 2**12
+
+    def test_projective_degree_limit_names_the_sentence(self, capsys, tmp_path):
+        star = [0] + [1] * 17  # one head with 17 dependents
+        corpus = write_corpus(tmp_path / "c.conllu", [2, 0], star)
         code, out, err = run(capsys, "optimize", corpus, "--unit", "chars")
         assert (code, out) == (2, "")
         assert err == (
-            "error: sentence 2: projective enumeration is limited to n <= 12,"
-            " got n = 13\n"
+            "error: sentence 2: projective search is limited to 16 dependents"
+            " per head, got 17\n"
         )
+
+    def test_chars_power_cost_on_a_40_token_sentence(self, capsys, tmp_path):
+        tree = random_tree(40, random.Random(40))
+        heads = [tree.head_of(i) for i in range(1, 41)]
+        corpus = write_corpus(tmp_path / "c.conllu", heads)
+        code, out, err = run(
+            capsys, "optimize", corpus,
+            "--unit", "chars", "--g", "power:2", "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        row = json.loads(out)["sentences"][0]
+        assert (row["n"], row["search"]) == (40, "projective-enum")
+        best = Linearization(tuple(row["representative"]))
+        assert is_projective(tree, best)
+        # the corpus's words are one character long, like the tree's
+        g = cost_function_from_spec("power:2")
+        assert Fraction(row["optimal"]) == cost_D(tree, best, g, Unit.CHARACTERS).D
 
     def test_csv_output(self, capsys, sample_path):
         code, out, _ = run(capsys, "optimize", str(sample_path), "--format", "csv")

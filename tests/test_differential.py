@@ -25,11 +25,12 @@ from deplen import (
     cost_function_from_spec,
     enumerate_projective,
     make_cost_function,
+    projective_mla,
     random_tree,
     sum_lengths,
 )
 from deplen.costs import HalfTable
-from deplen.optimize import projective_enum_mla
+from deplen.optimize import projective_minimum
 
 LETTERS = "abcdefghijklmnop"
 # precomposed letters and decomposed pairs that NFC composes to one character
@@ -163,26 +164,53 @@ def test_searches_rescale_when_a_new_denominator_appears():
             (oracle_cost(g, oracle_halves(t, lin.seq, Unit.CHARACTERS)), lin.seq)
             for lin in enumerate_projective(t)
         )
-        res = projective_enum_mla(t, Unit.CHARACTERS, fresh_table())
+        res = projective_minimum(t, Unit.CHARACTERS, fresh_table())
         assert (res.min_cost, res.representative.seq) == projective
+
+
+def nonmonotone_table(rng):
+    """g on 1..60 at seeded random values: not monotone, mixed denominators."""
+    return make_cost_function(
+        "table",
+        table={
+            d: Fraction(rng.randrange(1, 200), rng.randrange(1, 7))
+            for d in range(1, 61)
+        },
+        allow_nonmonotone=True,
+    )
 
 
 @pytest.mark.parametrize("unit", [Unit.WORDS, Unit.CHARACTERS])
 def test_projective_enum_matches_the_oracle(unit):
+    # projective-enum rows: the tree DP against scoring every projective order
     rng = random.Random(31)
-    for spec in ("power:2", "power:3/2", "log"):
-        g = cost_function_from_spec(spec)
-        for _ in range(8):
-            t = random_sentence(rng.randrange(2, 8), rng)
+    for spec in ("identity", "power:2", "power:1/2", "power:3/2", "log", "table"):
+        for _ in range(12):
+            n = rng.randrange(1, 10)
+            if spec == "table":  # odd lengths keep every chars distance an integer
+                shape = random_tree(n, rng)
+                words = [Token(i, "x" * rng.choice((1, 3, 5))) for i in range(1, n + 1)]
+                t = build_tree(words, shape.heads)
+                g = nonmonotone_table(rng)
+            else:
+                t = random_sentence(n, rng)
+                g = cost_function_from_spec(spec)
             costs = {
                 lin.seq: oracle_cost(g, oracle_halves(t, lin.seq, unit))
                 for lin in enumerate_projective(t)
             }
             best = min(costs.values())
-            res = projective_enum_mla(t, unit, g)
+            res = projective_minimum(t, unit, g)
             assert res.min_cost == best
             assert res.representative.seq == min(s for s, c in costs.items() if c == best)
             assert res.searched == len(costs)
+
+
+def test_both_projective_searches_agree_beyond_the_oracle():
+    rng = random.Random(41)
+    for _ in range(60):
+        t = random_tree(rng.randrange(1, 41), rng)
+        assert projective_minimum(t).min_cost == projective_mla(t).min_cost
 
 
 def test_table_refuses_a_half_integer_character_distance(csv_table):
@@ -194,7 +222,7 @@ def test_table_refuses_a_half_integer_character_distance(csv_table):
     with pytest.raises(DomainError, match="integers only"):
         brute_force_mla(t, unit=Unit.CHARACTERS, g=g)
     with pytest.raises(DomainError, match="integers only"):
-        projective_enum_mla(t, Unit.CHARACTERS, g)
+        projective_minimum(t, Unit.CHARACTERS, g)
 
 
 def test_table_shorter_than_the_longest_distance():

@@ -1,11 +1,14 @@
 """Exhaustive, constrained, and projective arrangement searches."""
 
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from deplen import (
+    CostFunction,
     InfeasibleConstraintsError,
     Linearization,
     PrecedenceConstraint,
@@ -23,6 +26,7 @@ from deplen import (
     sum_lengths,
     word_centers,
 )
+from deplen.optimize import projective_minimum
 
 
 def toks(n):
@@ -260,6 +264,45 @@ class TestProjectiveEnumeration:
         t = build_tree(toks(13), {i: i - 1 for i in range(1, 14)})
         with pytest.raises(TooLargeError):
             next(enumerate_projective(t))
+
+    def test_first_order_needs_little_memory(self):
+        # 9! orders; listing them all first would take tens of megabytes
+        star = build_tree(toks(9), {1: 0, **{i: 1 for i in range(2, 10)}})
+        tracemalloc.start()
+        try:
+            next(enumerate_projective(star))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
+class TestProjectiveMinimum:
+    def star(self, k):
+        words = [Token(i, "x") for i in range(1, k + 2)]
+        return build_tree(words, {1: 0, **{i: 1 for i in range(2, k + 2)}})
+
+    def test_degree_cap_is_checked_before_g(self):
+        calls = []
+
+        class Counting(CostFunction):
+            def __call__(self, d):
+                calls.append(d)
+                return super().__call__(d)
+
+        with pytest.raises(
+            TooLargeError,
+            match="projective search is limited to 16 dependents per head, got 17",
+        ):
+            projective_minimum(self.star(17), Unit.CHARACTERS, Counting("identity"))
+        assert calls == []
+
+    def test_sixteen_dependents_are_searched(self):
+        # one-character words sit 2 characters apart: eight per side
+        res = projective_minimum(self.star(16), Unit.CHARACTERS)
+        assert res.min_cost == 2 * 2 * sum(range(1, 9))
+        assert res.representative.seq == (*range(2, 10), 1, *range(10, 18))
+        assert res.searched == math.factorial(17)
 
 
 class TestProjectiveOptimum:
