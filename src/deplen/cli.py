@@ -26,7 +26,7 @@ from .costs import (
 )
 from .errors import DeplenError, EmptyCorpusError, TooLargeError
 from .metrics import LengthHistogram, cost_D, frac_dec, frac_str
-from .optimize import BRUTE_FORCE_MAX, _optimize_one
+from .optimize import BRUTE_FORCE_MAX, _plan_one
 from .tree import Unit
 
 RATIONAL_FIELDS = ("observed", "optimal", "gap")  # optimize rows, exact and decimal
@@ -186,9 +186,10 @@ def cmd_optimize(args, out) -> int:
     trees = _load_corpus(args)
     unit = Unit(args.unit)
     g = _cost_fn(args)
-    results = _each_sentence(
-        lambda t: _optimize_one(t, unit, g, args.max_n, args.exact), trees
+    searches = _each_sentence(  # every size limit, before any search
+        lambda t: _plan_one(t, unit, g, args.max_n, args.exact), trees
     )
+    results = _each_sentence(lambda search: search(), searches)
     head = "optimize: %d sentence(s), unit=%s, g=%s, max_n=%d\n" % (
         len(results), unit.value, g.spec(), args.max_n
     )

@@ -1,13 +1,17 @@
 """Minimum linear arrangement searches over dependency trees.
 
-brute_force_mla enumerates every permutation (n <= 10), optionally
-filtered by precedence/contiguity constraints.  projective_minimum finds
-the exact projective minimum for any unit and cost by a tree DP, at any
-n but at most 16 dependents per head; projective_mla constructs one
-directly for words and identity cost.  enumerate_projective lazily yields
-every projective arrangement (n <= 12), a test oracle.  Costs are summed
-as integers through the cost function's HalfTable; a Fraction is built
-once per result.
+subset_minimum finds the exact minimum over every order for identity
+cost, in either unit, by a DP over placed sets (n <= 16); it counts the
+optima without listing them.  brute_force_mla enumerates every
+permutation (n <= 10) for any cost, optionally filtered by
+precedence/contiguity constraints, and returns every optimum.
+projective_minimum finds the exact projective minimum for any unit and
+cost by a tree DP, at any n but at most 16 dependents per head;
+projective_mla constructs one directly for words and identity cost.
+enumerate_projective lazily yields every projective arrangement
+(n <= 12), a test oracle.  Costs are summed as integers through the
+cost function's HalfTable, or as doubled widths for identity cost; a
+Fraction is built once per result.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import graphlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import permutations
 from math import factorial
 
@@ -24,8 +29,25 @@ from .metrics import _half_positions, cost_D, frac_dec, frac_str, sum_lengths
 from .tree import Linearization, Unit
 
 BRUTE_FORCE_MAX = 10
+SUBSET_DP_MAX = 16
 PROJECTIVE_ENUM_MAX = 12
 PROJECTIVE_DEGREE_MAX = 16
+
+
+def _check_n(tree, limit, search):
+    if tree.n > limit:
+        raise TooLargeError(
+            "%s is limited to n <= %d, got n = %d" % (search, limit, tree.n)
+        )
+
+
+def _check_degree(tree):
+    degree = max(len(tree.children(v)) for v in range(1, tree.n + 1))
+    if degree > PROJECTIVE_DEGREE_MAX:
+        raise TooLargeError(
+            "projective search is limited to %d dependents per head, got %d"
+            % (PROJECTIVE_DEGREE_MAX, degree)
+        )
 
 
 @dataclass(frozen=True)
@@ -100,11 +122,18 @@ def _check_acyclic(constraint: PrecedenceConstraint):
 
 @dataclass(frozen=True)
 class MlaResult:
-    """Outcome of an arrangement search."""
+    """Outcome of an arrangement search.
+
+    optimal_orders holds the optima the search returns, the smallest
+    first: every one for brute_force_mla, one for the other searches.
+    optimal_count is the number of optima counted: every one for the
+    exhaustive searches, the one returned for the projective ones.
+    """
 
     min_cost: Fraction
     optimal_orders: tuple
     searched: int
+    optimal_count: int
 
     @property
     def representative(self) -> Linearization:
@@ -115,7 +144,7 @@ class MlaResult:
         return {
             "min_cost": frac_str(self.min_cost),
             "min_cost_dec": frac_dec(self.min_cost),
-            "optimal_count": len(self.optimal_orders),
+            "optimal_count": self.optimal_count,
             "representative": list(self.representative.seq),
             "searched": self.searched,
         }
@@ -164,11 +193,7 @@ def brute_force_mla(tree, unit=Unit.WORDS, g=None, constraint=None) -> MlaResult
     so an edge's cost is one lookup in g's HalfTable.
     """
     n = tree.n
-    if n > BRUTE_FORCE_MAX:
-        raise TooLargeError(
-            "brute force is limited to n <= %d, got n = %d"
-            % (BRUTE_FORCE_MAX, n)
-        )
+    _check_n(tree, BRUTE_FORCE_MAX, "brute force")
     if g is None:
         g = IDENTITY
     if constraint is not None:
@@ -201,7 +226,53 @@ def brute_force_mla(tree, unit=Unit.WORDS, g=None, constraint=None) -> MlaResult
             "no linear order satisfies the constraints"
         )
     orders = tuple(Linearization(s) for s in sorted(map(_order, optimal)))
-    return MlaResult(Fraction(best, table.scale), orders, searched)
+    return MlaResult(Fraction(best, table.scale), orders, searched, len(orders))
+
+
+def subset_minimum(tree, unit=Unit.WORDS) -> MlaResult:
+    """Exact minimum over all orders for identity cost, by a DP over placed sets.
+
+    Give each token v a width w_v: 1 in words, its length plus one space
+    in characters.  An edge's doubled length is then w_h + w_d plus 2 w_v
+    for each token v it crosses.  Placing tokens left to right after the
+    placed set S, the edges crossing the next token v are the edges across
+    S's cut that do not end at v.  So rest[S], the least cost of finishing
+    from S, and ways[S], the number of finishes attaining it, take
+    O(2^n * n); every (n - |S|)! finish is covered, so searched is n!.  A
+    walk that places the smallest token keeping the cost optimal gives the
+    lexicographically smallest optimum, and no optimum is listed.  Guarded
+    at n <= 16.
+    """
+    _check_n(tree, SUBSET_DP_MAX, "subset search")
+    n, chars = tree.n, unit is Unit.CHARACTERS
+    step = [2 * (t.char_length + 1 if chars else 1) for t in tree.tokens]
+    adj = [0] * n  # each token's neighbours, as a set of bits
+    for h, d in tree.edges:
+        adj[h - 1] |= 1 << d - 1
+        adj[d - 1] |= 1 << h - 1
+    full = (1 << n) - 1
+    cut = [0] * (full + 1)  # the number of edges leaving each placed set
+    for s in range(1, full + 1):
+        v = (s & -s).bit_length() - 1
+        cut[s] = cut[s & (s - 1)] + adj[v].bit_count() - 2 * (adj[v] & s).bit_count()
+    rest, ways = [0] * (full + 1), [1] * (full + 1)
+
+    def cost(s, v):  # of placing v next after s, plus the least finish
+        return rest[s | 1 << v] + step[v] * (cut[s] - (adj[v] & s).bit_count())
+
+    for s in range(full - 1, -1, -1):
+        xs = {v: cost(s, v) for v in range(n) if not s >> v & 1}
+        rest[s] = best = min(xs.values())
+        ways[s] = sum(ways[s | 1 << v] for v, x in xs.items() if x == best)
+    seq, s = [], 0
+    while s != full:
+        v = next(v for v in range(n) if not s >> v & 1 and cost(s, v) == rest[s])
+        seq.append(v + 1)
+        s |= 1 << v
+    ends = sum(step[h - 1] + step[d - 1] for h, d in tree.edges) // 2
+    return MlaResult(
+        Fraction(ends + rest[0], 2), (Linearization(tuple(seq)),), factorial(n), ways[0]
+    )
 
 
 def _projective_seqs(tree, v, units=None):
@@ -226,11 +297,7 @@ def enumerate_projective(tree):
     count is the product over nodes of (children + 1)!, built one order at
     a time.  Guarded at n <= 12, since that count can still be huge.
     """
-    if tree.n > PROJECTIVE_ENUM_MAX:
-        raise TooLargeError(
-            "projective enumeration is limited to n <= %d, got n = %d"
-            % (PROJECTIVE_ENUM_MAX, tree.n)
-        )
+    _check_n(tree, PROJECTIVE_ENUM_MAX, "projective enumeration")
     for seq in _projective_seqs(tree, tree.root):
         yield Linearization(seq)
 
@@ -246,12 +313,7 @@ def projective_minimum(tree, unit=Unit.WORDS, g=None) -> MlaResult:
     last.  Blocks of one subtree hold the same tokens, so the least
     (cost, sequence) is the lexicographically smallest optimum.
     """
-    degree = max(len(tree.children(v)) for v in range(1, tree.n + 1))
-    if degree > PROJECTIVE_DEGREE_MAX:
-        raise TooLargeError(
-            "projective search is limited to %d dependents per head, got %d"
-            % (PROJECTIVE_DEGREE_MAX, degree)
-        )
+    _check_degree(tree)
     table = (g or IDENTITY).half_table
     gap = int(unit is Unit.CHARACTERS)
     lam = [0] + [t.char_length if gap else 1 for t in tree.tokens]
@@ -298,7 +360,7 @@ def projective_minimum(tree, unit=Unit.WORDS, g=None) -> MlaResult:
             off, cand = 2 * width[s] + lam[v] - 1, (lc + rc, ls + (v,) + rs)
             best[v][off] = min(cand, best[v].get(off, cand))
     cost, seq = min(best[tree.root].values())
-    return MlaResult(Fraction(cost, table.scale), (Linearization(seq),), searched)
+    return MlaResult(Fraction(cost, table.scale), (Linearization(seq),), searched, 1)
 
 
 def _arrange(tree, v, parent_side):
@@ -339,28 +401,37 @@ def projective_mla(tree) -> MlaResult:
     """
     lin = Linearization(tuple(_arrange(tree, tree.root, None)))
     cost = sum_lengths(tree, lin, Unit.WORDS)
-    return MlaResult(cost, (lin,), 1)
+    return MlaResult(cost, (lin,), 1, 1)
 
 
-def _optimize_one(tree, unit, g, max_n, exact):
-    """Observed cost of the tree's own order against a searched minimum.
+def _plan_one(tree, unit, g, max_n, exact):
+    """The search a tree gets, with its size limit checked before any search.
 
-    Exhaustive search when exact or n <= max_n; otherwise the projective
-    construction for words with identity cost, else the projective tree DP.
+    Exhaustive search when exact or n <= max_n: the subset DP for identity
+    cost, brute force for any other.  Otherwise the projective construction
+    for words with identity cost, else the projective tree DP.  Returns a
+    callable that runs the search and gives the tree's row.
     """
-    observed = cost_D(tree, tree.identity_linearization(), g, unit).D
     if exact or tree.n <= max_n:
-        result = brute_force_mla(tree, unit=unit, g=g)
         mode = "exhaustive"
-        optimal_count = len(result.optimal_orders)
+        if g.kind == "identity":
+            _check_n(tree, SUBSET_DP_MAX, "subset search")
+            search = partial(subset_minimum, tree, unit)
+        else:
+            _check_n(tree, BRUTE_FORCE_MAX, "brute force")
+            search = partial(brute_force_mla, tree, unit, g)
     elif unit is Unit.WORDS and g.kind == "identity":
-        result = projective_mla(tree)
-        mode = "projective"
-        optimal_count = None
+        mode, search = "projective", partial(projective_mla, tree)
     else:
-        result = projective_minimum(tree, unit, g)
-        mode = "projective-enum"
-        optimal_count = None
+        _check_degree(tree)
+        mode, search = "projective-enum", partial(projective_minimum, tree, unit, g)
+    return partial(_optimize_one, tree, unit, g, mode, search)
+
+
+def _optimize_one(tree, unit, g, mode, search):
+    """Observed cost of the tree's own order against search()'s minimum."""
+    observed = cost_D(tree, tree.identity_linearization(), g, unit).D
+    result = search()
     gap = observed / result.min_cost if result.min_cost else Fraction(1)
     return {
         "n": tree.n,
@@ -368,7 +439,7 @@ def _optimize_one(tree, unit, g, max_n, exact):
         "optimal": result.min_cost,
         "gap": gap,
         "search": mode,
-        "optimal_count": optimal_count,
+        "optimal_count": result.optimal_count if mode == "exhaustive" else None,
         "searched": result.searched,
         "representative": list(result.representative.seq),
     }

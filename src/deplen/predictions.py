@@ -46,7 +46,7 @@ class PredictionReport:
             "name": self.name,
             "holds": self.holds,
             "min_cost": frac_str(self.witness.min_cost),
-            "optimal_count": len(self.witness.optimal_orders),
+            "optimal_count": self.witness.optimal_count,
             "searched": self.witness.searched,
             "representative": list(self.witness.representative.seq),
             "counterexample": (

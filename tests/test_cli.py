@@ -1,6 +1,7 @@
 """Command-line interface: formats, flags, exit codes, determinism."""
 
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -247,6 +248,44 @@ class TestOptimize:
             "error: sentence 2: projective search is limited to 16 dependents"
             " per head, got 17\n"
         )
+
+    def test_exact_identity_search_past_brute_force(self, capsys, tmp_path):
+        chain = [0] + list(range(1, 14))  # 14 tokens, each headed by the one before
+        corpus = write_corpus(tmp_path / "c.conllu", chain)
+        code, out, err = run(capsys, "optimize", corpus, "--exact", "--format", "json")
+        assert (code, err) == (0, "")
+        row = json.loads(out)["sentences"][0]
+        assert (row["search"], row["optimal"], row["optimal_count"]) == ("exhaustive", "13", 2)
+        assert row["representative"] == list(range(1, 15))
+        assert row["searched"] == math.factorial(14)
+
+    def test_exact_identity_limit_names_the_sentence(self, capsys, tmp_path):
+        chain = [0] + list(range(1, 17))  # 17 tokens
+        corpus = write_corpus(tmp_path / "c.conllu", [2, 0], chain)
+        code, out, err = run(capsys, "optimize", corpus, "--exact", "--unit", "chars")
+        assert (code, out) == (2, "")
+        assert err == "error: sentence 2: subset search is limited to n <= 16, got n = 17\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--exact",), "subset search is limited to n <= 16, got n = 18"),
+            (("--exact", "--g", "power:2"), "brute force is limited to n <= 10, got n = 18"),
+            (("--unit", "chars"), "projective search is limited to 16 dependents per head, got 17"),
+        ],
+    )
+    def test_size_limits_come_before_any_search(self, capsys, tmp_path, monkeypatch, flags, message):
+        import deplen.optimize
+
+        def never(*args, **kwargs):
+            raise AssertionError("a search ran before every limit was checked")
+
+        for search in ("subset_minimum", "brute_force_mla", "projective_mla", "projective_minimum"):
+            monkeypatch.setattr(deplen.optimize, search, never)
+        star = [0] + [1] * 17  # one head with 17 dependents
+        corpus = write_corpus(tmp_path / "c.conllu", [2, 0, 2], star)
+        code, out, err = run(capsys, "optimize", corpus, *flags)
+        assert (code, out, err) == (2, "", "error: sentence 2: %s\n" % message)
 
     def test_chars_power_cost_on_a_40_token_sentence(self, capsys, tmp_path):
         tree = random_tree(40, random.Random(40))

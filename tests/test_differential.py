@@ -30,7 +30,7 @@ from deplen import (
     sum_lengths,
 )
 from deplen.costs import HalfTable
-from deplen.optimize import projective_minimum
+from deplen.optimize import projective_minimum, subset_minimum
 
 LETTERS = "abcdefghijklmnop"
 # precomposed letters and decomposed pairs that NFC composes to one character
@@ -38,16 +38,16 @@ NON_ASCII = ("é", "ß", "ł", "é", "à", "ñ")
 SPECS = ("identity", "power:2", "power:3/2", "log")
 
 
-def random_form(rng):
+def random_form(rng, longest=8):
     return "".join(
         rng.choice(NON_ASCII) if rng.random() < 0.2 else rng.choice(LETTERS)
-        for _ in range(rng.randrange(1, 9))
+        for _ in range(rng.randrange(1, longest + 1))
     )
 
 
-def random_sentence(n, rng):
+def random_sentence(n, rng, longest=8):
     shape = random_tree(n, rng)
-    tokens = [Token(i, random_form(rng)) for i in range(1, n + 1)]
+    tokens = [Token(i, random_form(rng, longest)) for i in range(1, n + 1)]
     return build_tree(tokens, shape.heads)
 
 
@@ -138,6 +138,20 @@ def test_brute_force_matches_a_plain_permutation_loop(spec):
             assert len(res.optimal_orders) == len(optima)
             assert res.representative.seq == optima[0]
             assert res.searched == len(seqs)
+
+
+@pytest.mark.parametrize("unit", [Unit.WORDS, Unit.CHARACTERS])
+def test_subset_minimum_matches_brute_force(unit):
+    # exhaustive identity rows: the subset DP against scoring every order
+    rng = random.Random(53)
+    for n in range(1, 9):
+        for _ in range(5):
+            t = random_sentence(n, rng, longest=9)
+            res, oracle = subset_minimum(t, unit), brute_force_mla(t, unit)
+            assert res.min_cost == oracle.min_cost
+            assert res.optimal_count == len(oracle.optimal_orders)
+            assert res.representative == oracle.representative
+            assert res.searched == oracle.searched
 
 
 def test_searches_rescale_when_a_new_denominator_appears():

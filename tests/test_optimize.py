@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from deplen import (
     sum_lengths,
     word_centers,
 )
-from deplen.optimize import projective_minimum
+from deplen.optimize import projective_minimum, subset_minimum
 
 
 def toks(n):
@@ -39,6 +40,12 @@ def chain3():
 
 def star3():
     return build_tree(toks(3), {1: 0, 2: 1, 3: 1})
+
+
+def star(k):
+    """A head with k one-character dependents."""
+    words = [Token(i, "x") for i in range(1, k + 2)]
+    return build_tree(words, {1: 0, **{i: 1 for i in range(2, k + 2)}})
 
 
 class TestBruteForce:
@@ -277,11 +284,50 @@ class TestProjectiveEnumeration:
         assert peak < 1_000_000
 
 
-class TestProjectiveMinimum:
-    def star(self, k):
-        words = [Token(i, "x") for i in range(1, k + 2)]
-        return build_tree(words, {1: 0, **{i: 1 for i in range(2, k + 2)}})
+class TestSubsetMinimum:
+    def test_star_optima_are_counted_not_listed(self):
+        # the head at position 5 or 6, its 9 dependents in any order: 2 * 9!
+        start = time.perf_counter()
+        res = subset_minimum(star(9))
+        assert time.perf_counter() - start < 1
+        assert (res.min_cost, res.optimal_count) == (25, 725_760)
+        assert res.representative.seq == (2, 3, 4, 5, 1, 6, 7, 8, 9, 10)
+        assert len(res.optimal_orders) == 1
+        tracemalloc.start()
+        try:
+            subset_minimum(star(9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
+    def test_characters_let_only_the_shortest_word_be_crossed(self):
+        words = [Token(1, "h"), Token(2, "a"), Token(3, "bbb"), Token(4, "c" * 9)]
+        t = build_tree(words, {1: 0, 2: 1, 3: 1, 4: 1})
+        res = subset_minimum(t)
+        # the head at position 2 or 3, its dependents in any order
+        assert (res.min_cost, res.optimal_count) == (4, 12)
+        assert res.representative.seq == (2, 1, 3, 4)
+        res = subset_minimum(t, Unit.CHARACTERS)
+        # "a" beside the head, and a longer word beyond it on that side
+        assert (res.min_cost, res.optimal_count) == (13, 4)
+        assert res.representative.seq == (3, 1, 2, 4)
+        assert res.searched == 24
+
+    def test_size_guard_comes_before_any_table(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                TooLargeError, match="subset search is limited to n <= 16, got n = 17"
+            ):
+                subset_minimum(star(16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000  # a table over 2**17 placed sets takes over 1 MB
+
+
+class TestProjectiveMinimum:
     def test_degree_cap_is_checked_before_g(self):
         calls = []
 
@@ -294,12 +340,12 @@ class TestProjectiveMinimum:
             TooLargeError,
             match="projective search is limited to 16 dependents per head, got 17",
         ):
-            projective_minimum(self.star(17), Unit.CHARACTERS, Counting("identity"))
+            projective_minimum(star(17), Unit.CHARACTERS, Counting("identity"))
         assert calls == []
 
     def test_sixteen_dependents_are_searched(self):
         # one-character words sit 2 characters apart: eight per side
-        res = projective_minimum(self.star(16), Unit.CHARACTERS)
+        res = projective_minimum(star(16), Unit.CHARACTERS)
         assert res.min_cost == 2 * 2 * sum(range(1, 9))
         assert res.representative.seq == (*range(2, 10), 1, *range(10, 18))
         assert res.searched == math.factorial(17)
