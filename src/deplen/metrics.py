@@ -40,8 +40,8 @@ def frac_dec(value) -> str:
     return repr(value.numerator / value.denominator)
 
 
-def _half_positions(tree, unit, seqs):
-    """Each token's doubled center, by token - 1, for each order in seqs.
+def _half_positions(tree, unit, seq):
+    """Each token's doubled center, by token - 1, in the order seq.
 
     A word is 1 wide in the words unit, so its doubled center is twice its
     position, and its length plus one space wide in characters (see
@@ -50,14 +50,13 @@ def _half_positions(tree, unit, seqs):
     chars = unit is Unit.CHARACTERS
     widths = [0] + [t.char_length if chars else 1 for t in tree.tokens]
     gap = 1 if chars else 0
-    for seq in seqs:
-        at = [0] * tree.n
-        start = 1
-        for t in seq:
-            w = widths[t]
-            at[t - 1] = 2 * start + w - 1
-            start += w + gap
-        yield at
+    at = [0] * tree.n
+    start = 1
+    for t in seq:
+        w = widths[t]
+        at[t - 1] = 2 * start + w - 1
+        start += w + gap
+    return at
 
 
 def word_centers(tree: DepTree, lin: Linearization) -> dict[int, int]:
@@ -68,7 +67,7 @@ def word_centers(tree: DepTree, lin: Linearization) -> dict[int, int]:
     (lam+1)/2 - 1 characters further right.  Returned values are the
     centers doubled, so they are always integers.
     """
-    at = next(_half_positions(tree, Unit.CHARACTERS, (lin.seq,)))
+    at = _half_positions(tree, Unit.CHARACTERS, lin.seq)
     return {t: at[t - 1] for t in lin.seq}
 
 
@@ -78,7 +77,7 @@ def edge_halves(tree, lin, unit):
         raise ValueError(
             "order has %d tokens but the tree has %d" % (lin.n, tree.n)
         )
-    at = next(_half_positions(tree, unit, (lin.seq,)))
+    at = _half_positions(tree, unit, lin.seq)
     return [abs(at[h - 1] - at[d - 1]) for h, d in tree.edges]
 
 

@@ -2,9 +2,11 @@
 
 subset_minimum finds the exact minimum over every order for identity
 cost, in either unit, by a DP over placed sets (n <= 16); it counts the
-optima without listing them.  brute_force_mla enumerates every
-permutation (n <= 10) for any cost, optionally filtered by
-precedence/contiguity constraints, and returns every optimum.
+optima without listing them.  brute_force_mla searches every order
+(n <= 10) for any cost by a depth-first search over placed prefixes: it
+generates only the orders that meet the precedence/contiguity
+constraints, drops a prefix that already costs more than the best order
+for the kinds positive on d > 0, and returns every optimum.
 projective_minimum finds the exact projective minimum for any unit and
 cost by a tree DP, at any n but at most 16 dependents per head;
 projective_mla constructs one directly for words and identity cost.
@@ -21,11 +23,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import permutations
-from math import factorial
+from math import factorial, inf
 
 from .costs import IDENTITY
 from .errors import InfeasibleConstraintsError, TooLargeError
-from .metrics import _half_positions, cost_D, frac_dec, frac_str, sum_lengths
+from .metrics import cost_D, frac_dec, frac_str, sum_lengths
 from .tree import Linearization, Unit
 
 BRUTE_FORCE_MAX = 10
@@ -150,47 +152,64 @@ class MlaResult:
         }
 
 
-def _scan(table, costs, edges, placements):
-    """(minimum scaled cost, the placements attaining it, placements seen).
+def _moves(adj, constraint):
+    """The admissible next steps from each placed set, and their count.
 
-    costs[k] is the scaled cost of distance k: for brute_force_mla a
-    prefilled slice by word distance, or in characters table.ints itself,
-    which a miss fills and so rescales in place.
+    Sets are bit masks over token - 1, and adj lists each token's
+    neighbours.  moves[s] lists (v, the tokens in s linked to v, s with v)
+    for each token v that may follow s: its predecessors in
+    constraint.ordering_digraph() are in s, it finishes the block s has
+    started, if any, and some admissible order goes on from there.
+    ways[s] counts those orders, so ways[0] is the number of admissible
+    orders, n! without a constraint and 0 when none exists.
     """
-    best = None
-    optimal = []
-    searched = 0
-    for at in placements:
-        searched += 1
-        try:
-            cost = 0
-            for h, d in edges:
-                cost += costs[abs(at[h] - at[d])]
-        except (IndexError, TypeError):  # a distance g has not seen yet
-            grown = table.fill([abs(at[h] - at[d]) for h, d in edges])
-            if best is not None:
-                best *= grown
-            cost = sum(costs[abs(at[h] - at[d])] for h, d in edges)
-        if best is None or cost < best:
-            best = cost
-            optimal = [at]
-        elif cost == best:
-            optimal.append(at)
-    return best, optimal, searched
+    n = len(adj)
+    full = (1 << n) - 1
+    pred, blocks = [0] * n, []
+    if constraint is not None:
+        for a, succ in constraint.ordering_digraph().items():
+            for b in succ:
+                pred[b - 1] |= 1 << a - 1
+        blocks = [sum(1 << t - 1 for t in b) for b in constraint.blocks or ()]
+    moves, ways = [()] * (full + 1), [0] * full + [1]
+    for s in range(full - 1, -1, -1):
+        free = full & ~s
+        for b in blocks:
+            if s & b and free & b:  # started, not finished
+                free &= b
+        moves[s] = [
+            (v, tuple(u for u in adj[v] if s >> u & 1), s | 1 << v)
+            for v in range(n)
+            if free >> v & 1 and not pred[v] & ~s and ways[s | 1 << v]
+        ]
+        ways[s] = sum(ways[t] for _, _, t in moves[s])
+    return moves, ways[0]
 
 
-def _order(at):
-    """The token sequence of a placement: tokens by increasing position."""
-    return tuple(sorted(range(1, len(at) + 1), key=lambda t: at[t - 1]))
+def _check_tokens(tree, constraint):
+    named = {t for pair in constraint.pairs for t in pair}
+    named.update(t for block in constraint.blocks or () for t in block)
+    outside = sorted(t for t in named if not 1 <= t <= tree.n)
+    if outside:
+        raise ValueError(
+            "constraint names token %d, outside 1..%d" % (outside[0], tree.n)
+        )
 
 
 def brute_force_mla(tree, unit=Unit.WORDS, g=None, constraint=None) -> MlaResult:
-    """Exact minimum over all (admissible) permutations.
+    """Exact minimum over all (admissible) orders, with every optimum.
 
-    Guarded at n <= 10.  Returns the full set of optima, sorted so the
-    lexicographically smallest order comes first.  An order is scanned as
-    a placement (each token's position, or doubled center in characters),
-    so an edge's cost is one lookup in g's HalfTable.
+    Guarded at n <= 10.  A depth-first search places tokens left to right
+    at doubled centers, so both units share one path.  Only admissible
+    prefixes are generated (see _moves), and an edge's cost, one lookup
+    in g's HalfTable, is added once, when its second end is placed.  For
+    the kinds positive on d > 0 (all but tables), a prefix that already
+    costs more than the best complete order is dropped; ties are kept, so
+    every optimum is returned, in lexicographic order.  In characters a
+    distance g has not seen yet leaves the prefix unsummed down to its
+    first leaf, where g is evaluated at that order's distances in edge
+    order, as a scan of every order would.  searched is the number of
+    admissible orders.
     """
     n = tree.n
     _check_n(tree, BRUTE_FORCE_MAX, "brute force")
@@ -198,34 +217,65 @@ def brute_force_mla(tree, unit=Unit.WORDS, g=None, constraint=None) -> MlaResult
         g = IDENTITY
     if constraint is not None:
         _check_acyclic(constraint)
-
-    tokens = range(1, n + 1)
+        _check_tokens(tree, constraint)
     table = g.half_table
-    if unit is Unit.WORDS:
+    chars = unit is Unit.CHARACTERS
+    if not chars:
         table.fill(range(2, 2 * n, 2))  # every distance 1..n-1 occurs
-        costs = table.ints[::2]  # by word distance
-        placements = permutations(tokens)  # token positions, 1..n
-        if constraint is not None:
-            placements = (
-                at for at in placements
-                if constraint.satisfied_by(dict(zip(tokens, at)))
-            )
-    else:
-        costs = table.ints  # by half-unit distance, filled as met
-        seqs = permutations(tokens)
-        if constraint is not None:
-            seqs = (
-                seq for seq in seqs
-                if constraint.satisfied_by(dict(zip(seq, tokens)))
-            )
-        placements = _half_positions(tree, unit, seqs)
     edges = [(h - 1, d - 1) for h, d in tree.edges]
-    best, optimal, searched = _scan(table, costs, edges, placements)
-    if searched == 0:
+    adj = [[] for _ in range(n)]
+    for h, d in edges:
+        adj[h].append(d)
+        adj[d].append(h)
+    moves, searched = _moves(adj, constraint)
+    if not searched:
         raise InfeasibleConstraintsError(
             "no linear order satisfies the constraints"
         )
-    orders = tuple(Linearization(s) for s in sorted(map(_order, optimal)))
+    ints, cut, full = table.ints, g.kind != "table", (1 << n) - 1
+    lam = [t.char_length if chars else 1 for t in tree.tokens]
+    gap = int(chars)
+    at, seq, sums = [0] * n, [0] * n, [0] * (n + 1)  # sums[k]: the first k placed
+    best = bound = inf  # bound stays inf where there is no cut
+    optima = []
+
+    def refill():  # g where the order at the leaf misses it, then the path re-summed
+        nonlocal best, bound
+        grown = table.fill([abs(at[h] - at[d]) for h, d in edges])
+        best, bound = best * grown, bound * grown
+        for k, v in enumerate(seq):
+            c = at[v - 1]
+            sums[k + 1] = sums[k] + sum(ints[c - at[u]] for u in adj[v - 1] if at[u] < c)
+        return sums[n]
+
+    def descend(s, start, k):
+        nonlocal best, bound, optima
+        for v, back, t in moves[s]:
+            at[v] = c = 2 * start + lam[v] - 1
+            seq[k] = v + 1
+            x = sums[k]
+            if x is not None:
+                try:
+                    for u in back:
+                        x += ints[c - at[u]]
+                except (IndexError, TypeError):  # a distance g has not seen yet
+                    x = None
+            if t != full:
+                if x is None or x <= bound:
+                    sums[k + 1] = x
+                    descend(t, start + lam[v] + gap, k + 1)
+                continue
+            if x is None:
+                x = refill()
+            if x < best:
+                best, optima = x, [tuple(seq)]
+                if cut:
+                    bound = best
+            elif x == best:
+                optima.append(tuple(seq))
+
+    descend(0, 1, 0)
+    orders = tuple(map(Linearization, optima))
     return MlaResult(Fraction(best, table.scale), orders, searched, len(orders))
 
 

@@ -119,25 +119,84 @@ def random_constraints(n, rng):
     yield PrecedenceConstraint(blocks=[b for b in (tokens[:cut], tokens[cut:k]) if b])
 
 
-@pytest.mark.parametrize("spec", ["power:2", "log"])
-def test_brute_force_matches_a_plain_permutation_loop(spec):
+def signed_table(rng):
+    """g on 1..60 at seeded values of either sign, zero at a short distance.
+
+    Where g can be zero or negative no prefix may be cut for its cost.
+    """
+    values = {
+        d: Fraction(rng.randrange(-40, 100), rng.randrange(1, 7)) for d in range(1, 61)
+    }
+    zero, negative = rng.sample(range(2, 7), 2)
+    values[zero], values[negative] = Fraction(0), Fraction(-7, 3)
+    return make_cost_function("table", table=values, allow_nonmonotone=True)
+
+
+@pytest.mark.parametrize(
+    "spec, unit",
+    [
+        pytest.param(spec, unit, id=spec + ("-words" if unit is Unit.WORDS else ""))
+        for spec in ("identity", "power:2", "log", "table")
+        for unit in (Unit.CHARACTERS, Unit.WORDS)
+    ],
+)
+def test_brute_force_matches_a_plain_permutation_loop(spec, unit):
     rng = random.Random(77)
     pick = random.Random(78)
-    g = cost_function_from_spec(spec)
+    g = signed_table(random.Random(79)) if spec == "table" else cost_function_from_spec(spec)
     for _ in range(10):
-        t = random_sentence(rng.randrange(2, 8), rng)
+        n = rng.randrange(2, 8)
+        if spec == "table":  # odd lengths keep every chars distance an integer
+            shape = random_tree(n, rng)
+            words = [Token(i, "x" * rng.choice((1, 3, 5))) for i in range(1, n + 1)]
+            t = build_tree(words, shape.heads)
+        else:
+            t = random_sentence(n, rng)
         for constraint in (None, *random_constraints(t.n, pick)):
             seqs = [
                 seq for seq in permutations(range(1, t.n + 1))
                 if constraint is None
                 or constraint.satisfied_by({tok: p for p, tok in enumerate(seq, 1)})
             ]
-            best, optima = oracle_mla(t, Unit.CHARACTERS, g, seqs)
-            res = brute_force_mla(t, unit=Unit.CHARACTERS, g=g, constraint=constraint)
+            best, optima = oracle_mla(t, unit, g, seqs)
+            res = brute_force_mla(t, unit=unit, g=g, constraint=constraint)
             assert res.min_cost == best
             assert len(res.optimal_orders) == len(optima)
             assert res.representative.seq == optima[0]
+            assert [l.seq for l in res.optimal_orders] == optima
+            assert res.optimal_count == len(optima)
             assert res.searched == len(seqs)
+
+
+def test_short_character_table_fails_where_a_scan_of_every_order_does():
+    # a scan of every order, in lexicographic order, evaluates g at each
+    # order's distances in edge order; the search must stop at the same one
+    def first_failure(t, g):
+        for seq in permutations(range(1, t.n + 1)):
+            for h in oracle_halves(t, seq, Unit.CHARACTERS):
+                try:
+                    g(Fraction(h, 2))
+                except DomainError as e:
+                    return str(e)
+        return None
+
+    rng = random.Random(61)
+    failures = set()
+    for _ in range(40):
+        n = rng.randrange(2, 8)
+        shape = random_tree(n, rng)
+        words = [Token(i, "x" * rng.randrange(1, 6)) for i in range(1, n + 1)]
+        t = build_tree(words, shape.heads)
+        g = make_cost_function("table", table={d: d for d in range(1, rng.randrange(2, 14))})
+        message = first_failure(t, g)
+        if message is None:
+            brute_force_mla(t, unit=Unit.CHARACTERS, g=g)  # g covers every distance
+            continue
+        with pytest.raises(DomainError) as exc:
+            brute_force_mla(t, unit=Unit.CHARACTERS, g=g)
+        assert str(exc.value) == message
+        failures.add(message.split(" (")[0])
+    assert len(failures) > 3  # the integer rule and several missing distances
 
 
 @pytest.mark.parametrize("unit", [Unit.WORDS, Unit.CHARACTERS])
@@ -167,6 +226,7 @@ def test_searches_rescale_when_a_new_denominator_appears():
 
     g = fresh_table()
     rng = random.Random(5)
+    pick = random.Random(6)
     for _ in range(6):
         shape = random_tree(rng.randrange(3, 7), rng)
         t = build_tree([Token(i, "x") for i in range(1, shape.n + 1)], shape.heads)
@@ -174,6 +234,16 @@ def test_searches_rescale_when_a_new_denominator_appears():
         res = brute_force_mla(t, unit=Unit.CHARACTERS, g=fresh_table())
         assert res.min_cost == best
         assert [l.seq for l in res.optimal_orders] == optima
+        block = PrecedenceConstraint(blocks=[pick.sample(range(1, t.n + 1), 2)])
+        seqs = [
+            seq for seq in permutations(range(1, t.n + 1))
+            if block.satisfied_by({tok: p for p, tok in enumerate(seq, 1)})
+        ]
+        best, optima = oracle_mla(t, Unit.CHARACTERS, g, seqs)
+        res = brute_force_mla(t, unit=Unit.CHARACTERS, g=fresh_table(), constraint=block)
+        assert res.min_cost == best
+        assert [l.seq for l in res.optimal_orders] == optima
+        assert res.searched == len(seqs)
         projective = min(
             (oracle_cost(g, oracle_halves(t, lin.seq, Unit.CHARACTERS)), lin.seq)
             for lin in enumerate_projective(t)

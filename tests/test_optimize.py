@@ -233,6 +233,31 @@ class TestConstraints:
                 ),
             )
 
+    @pytest.mark.parametrize("unit", [Unit.WORDS, Unit.CHARACTERS])
+    @pytest.mark.parametrize(
+        "pairs, blocks, token",
+        [({(1, 5)}, None, 5), (set(), [(2, 7)], 7), ({(0, 2)}, None, 0)],
+    )
+    def test_token_outside_the_tree_is_rejected(self, unit, pairs, blocks, token):
+        constraint = PrecedenceConstraint(pairs=pairs, blocks=blocks)
+        message = "constraint names token %d, outside 1..3" % token
+        with pytest.raises(ValueError, match=message):
+            brute_force_mla(chain3(), unit=unit, constraint=constraint)
+
+    def test_blocks_cut_the_search_to_admissible_prefixes(self, monkeypatch):
+        def scanned(self, pos):
+            pytest.fail("an order was generated before being tested")
+
+        monkeypatch.setattr(PrecedenceConstraint, "satisfied_by", scanned)
+        chain10 = build_tree(toks(10), {i: i - 1 for i in range(1, 11)})
+        blocks = ((1, 2), (3, 4), (5, 6), (7, 8))
+        start = time.perf_counter()
+        res = brute_force_mla(chain10, constraint=PrecedenceConstraint(blocks=blocks))
+        assert time.perf_counter() - start < 1.0  # 10! orders take seconds
+        assert res.min_cost == 9
+        assert res.searched == 480  # 2^4 orders inside the blocks, 6!/4! places for 9, 10
+        assert [l.seq for l in res.optimal_orders] == [tuple(range(1, 11))]
+
     def test_token_in_two_blocks_rejected(self):
         with pytest.raises(ValueError):
             PrecedenceConstraint(blocks=((1, 2), (2, 3)))
