@@ -111,14 +111,18 @@ def _load_corpus(args):
     return trees
 
 
-def _each_sentence(fn, trees):
-    """fn(tree) for every tree; a DeplenError names its 1-based sentence."""
+def _each_sentence(fn, trees, *more):
+    """fn(tree, *items) for every tree, items being its entries in more.
+
+    A DeplenError names its sentence: the 1-based number, and any sent_id.
+    """
     results = []
-    for i, tree in enumerate(trees, start=1):
+    for i, (tree, *items) in enumerate(zip(trees, *more), start=1):
         try:
-            results.append(fn(tree))
+            results.append(fn(tree, *items))
         except DeplenError as e:
-            raise type(e)("sentence %d: %s" % (i, e)) from e
+            sent_id = "" if tree.sent_id is None else " (sent_id %s)" % tree.sent_id
+            raise type(e)("sentence %d%s: %s" % (i, sent_id, e)) from e
     return results
 
 
@@ -189,7 +193,7 @@ def cmd_optimize(args, out) -> int:
     searches = _each_sentence(  # every size limit, before any search
         lambda t: _plan_one(t, unit, g, args.max_n, args.exact), trees
     )
-    results = _each_sentence(lambda search: search(), searches)
+    results = _each_sentence(lambda _, search: search(), trees, searches)
     head = "optimize: %d sentence(s), unit=%s, g=%s, max_n=%d\n" % (
         len(results), unit.value, g.spec(), args.max_n
     )

@@ -48,12 +48,12 @@ def _half_positions(tree, unit, seq):
     word_centers).
     """
     chars = unit is Unit.CHARACTERS
-    widths = [0] + [t.char_length if chars else 1 for t in tree.tokens]
+    widths = tree.char_lengths if chars else (1,) * tree.n
     gap = 1 if chars else 0
     at = [0] * tree.n
     start = 1
     for t in seq:
-        w = widths[t]
+        w = widths[t - 1]
         at[t - 1] = 2 * start + w - 1
         start += w + gap
     return at

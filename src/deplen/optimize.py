@@ -233,7 +233,7 @@ def brute_force_mla(tree, unit=Unit.WORDS, g=None, constraint=None) -> MlaResult
             "no linear order satisfies the constraints"
         )
     ints, cut, full = table.ints, g.kind != "table", (1 << n) - 1
-    lam = [t.char_length if chars else 1 for t in tree.tokens]
+    lam = tree.char_lengths if chars else (1,) * n
     gap = int(chars)
     at, seq, sums = [0] * n, [0] * n, [0] * (n + 1)  # sums[k]: the first k placed
     best = bound = inf  # bound stays inf where there is no cut
@@ -295,7 +295,7 @@ def subset_minimum(tree, unit=Unit.WORDS) -> MlaResult:
     """
     _check_n(tree, SUBSET_DP_MAX, "subset search")
     n, chars = tree.n, unit is Unit.CHARACTERS
-    step = [2 * (t.char_length + 1 if chars else 1) for t in tree.tokens]
+    step = [2 * (c + 1 if chars else 1) for c in tree.char_lengths]
     adj = [0] * n  # each token's neighbours, as a set of bits
     for h, d in tree.edges:
         adj[h - 1] |= 1 << d - 1
@@ -366,7 +366,7 @@ def projective_minimum(tree, unit=Unit.WORDS, g=None) -> MlaResult:
     _check_degree(tree)
     table = (g or IDENTITY).half_table
     gap = int(unit is Unit.CHARACTERS)
-    lam = [0] + [t.char_length if gap else 1 for t in tree.tokens]
+    lam = (0,) + (tree.char_lengths if gap else (1,) * tree.n)
 
     def length(left, v, c, off, b):  # from v's center to c's, doubled
         near = 2 * span[c] - off - 1 if left else off + 2 * gap + 1

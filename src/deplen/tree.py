@@ -27,6 +27,8 @@ class Unit(Enum):
 
 def char_count(form: str) -> int:
     """Number of characters of a form after NFC normalization."""
+    if form.isascii():  # NFC leaves ASCII unchanged
+        return len(form)
     return len(unicodedata.normalize("NFC", form))
 
 
@@ -62,6 +64,8 @@ class Token:
 class DepTree:
     """Immutable rooted dependency tree over tokens 1..n."""
 
+    sent_id = None  # the "# sent_id" comment of a parsed sentence, if any
+
     def __init__(self, tokens, heads):
         tokens = tuple(sorted(tokens, key=lambda t: t.index))
         if not tokens:
@@ -70,46 +74,64 @@ class DepTree:
         if [t.index for t in tokens] != list(range(1, n + 1)):
             raise ValueError("token indices must be exactly 1..n")
         try:
-            heads = {i: int(heads[i]) for i in range(1, n + 1)}
+            heads = [int(heads[i]) for i in range(1, n + 1)]
         except KeyError as e:
             raise ValueError("no head given for token %s" % e) from e
+        self._link(heads)
+        self.tokens = tokens  # fills the cached property
 
-        roots = [i for i, h in heads.items() if h == ROOT]
-        if len(roots) != 1:
-            raise MultiRootError(
-                "expected exactly one root, found %d" % len(roots)
-            )
-        for i, h in heads.items():
+    @classmethod
+    def _trusted(cls, forms, char_lengths, heads, sent_id=None):
+        """A tree over columns the caller has checked, as parse_conllu does.
+
+        Token i has forms[i - 1], the agreeing length char_lengths[i - 1] and
+        the int head heads[i - 1]; only the checks of _link run.
+        """
+        tree = cls.__new__(cls)
+        tree._link(heads)
+        tree.forms, tree.char_lengths = tuple(forms), tuple(char_lengths)
+        tree.sent_id = sent_id
+        return tree
+
+    def _link(self, heads):
+        """Check and keep the head column: heads[i - 1] is token i's head."""
+        n = len(heads)
+        roots = heads.count(ROOT)
+        if roots != 1:
+            raise MultiRootError("expected exactly one root, found %d" % roots)
+        for i, h in enumerate(heads, 1):
             if h == i:
                 raise CycleError("token %d is its own head" % i)
-            if h != ROOT and not 1 <= h <= n:
-                raise DisconnectedError(
-                    "token %d names head %d, outside 1..%d" % (i, h, n)
-                )
-
+            if not 0 <= h <= n:
+                raise DisconnectedError("token %d names head %d, outside 1..%d"
+                                        % (i, h, n))
         # Every token must reach the root by following heads.  With one
-        # root and all head targets in range, the only failure mode left
-        # is a cycle.
-        state = {}  # 1 = on current path, 2 = known good
+        # root and all heads in range, a walk can only fail on a cycle, by
+        # coming back to a token it has met; earlier walks reached the root.
+        head, walk = [ROOT] + heads, [-1] + [0] * n  # the walk that met each token
         for start in range(1, n + 1):
-            path = []
             v = start
-            while v != ROOT and state.get(v) != 2:
-                if state.get(v) == 1:
-                    raise CycleError("cycle through token %d" % v)
-                state[v] = 1
-                path.append(v)
-                v = heads[v]
-            for u in path:
-                state[u] = 2
+            while not walk[v]:
+                walk[v], v = start, head[v]
+            if walk[v] == start:
+                raise CycleError("cycle through token %d" % v)
+        self.root = heads.index(ROOT) + 1
+        self._heads = dict(enumerate(heads, 1))
 
-        self._tokens = tokens
-        self._heads = heads
-        self.root = roots[0]
+    # Made from Tokens or from columns (by index - 1), a tree derives the other.
 
-    @property
+    @cached_property
     def tokens(self) -> tuple[Token, ...]:
-        return self._tokens
+        columns = enumerate(zip(self.forms, self.char_lengths), 1)
+        return tuple(Token(i, form, length) for i, (form, length) in columns)
+
+    @cached_property
+    def forms(self) -> tuple[str, ...]:
+        return tuple(t.form for t in self.tokens)
+
+    @cached_property
+    def char_lengths(self) -> tuple[int, ...]:
+        return tuple(t.char_length for t in self.tokens)
 
     @property
     def heads(self) -> dict[int, int]:
@@ -117,10 +139,10 @@ class DepTree:
 
     @property
     def n(self) -> int:
-        return len(self._tokens)
+        return len(self._heads)
 
     def token(self, index: int) -> Token:
-        return self._tokens[index - 1]
+        return self.tokens[index - 1]
 
     def head_of(self, index: int) -> int:
         return self._heads[index]
@@ -128,9 +150,7 @@ class DepTree:
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """(head, dependent) pairs, ordered by dependent index."""
-        return tuple(
-            (self._heads[d], d) for d in range(1, self.n + 1) if d != self.root
-        )
+        return tuple([(h, d) for d, h in self._heads.items() if h != ROOT])
 
     @cached_property
     def edge_set(self) -> frozenset[tuple[int, int]]:

@@ -16,7 +16,7 @@ from deplen import (
     is_projective,
     random_tree,
 )
-from deplen.cli import main
+from deplen.cli import UNIT_NAMES, main
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
@@ -150,6 +150,21 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", corpus, "--g", "table:%s" % table)
         assert (code, out) == (2, "")
         assert err == "error: sentence 2: table has no cost for d=2 (domain 1..1)\n"
+
+    def test_an_error_names_the_sent_id_too(self, capsys, tmp_path):
+        corpus = tmp_path / "c.conllu"
+        write_corpus(corpus, [2, 0], [0, 1, 1])
+        blocks = corpus.read_text(encoding="utf-8").split("\n\n")
+        corpus.write_text("\n\n".join(
+            ["# sent_id = a0-1\n" + blocks[0], "# sent_id = a0-2\n" + blocks[1]]
+        ), encoding="utf-8")
+        table = tmp_path / "g.csv"
+        table.write_text("1,1\n", encoding="utf-8")
+        code, out, err = run(capsys, "analyze", str(corpus), "--g", "table:%s" % table)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: sentence 2 (sent_id a0-2): table has no cost for d=2 (domain 1..1)\n"
+        )
 
 
 class TestOptimize:
@@ -455,6 +470,7 @@ class TestTopLevel:
 GOLDEN_CASES = {
     "analyze": ["analyze", "SAMPLE"],
     "analyze-chars-log": ["analyze", "SAMPLE", "--unit", "chars", "--g", "log"],
+    "analyze-drop-punct": ["analyze", "SAMPLE", "--drop-punct"],
     "optimize": ["optimize", "SAMPLE"],
     "predict": ["predict"],
     "pair": ["pair"],
@@ -500,3 +516,19 @@ def test_each_format_builds_only_what_it_prints(capsys, monkeypatch, sample_path
         for fmt in ("table", "csv"):
             code, _, err = run(capsys, *argv, "--format", fmt)
             assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("unit", UNIT_NAMES)
+@pytest.mark.parametrize("argv", [["analyze"], ["analyze", "--drop-punct"], ["optimize"]])
+def test_measuring_and_searching_build_no_tokens(capsys, monkeypatch, sample_path, argv, unit):
+    """Parsed trees go from columns to output: no Token, no checked DepTree path."""
+    import deplen.tree as tree_mod
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built a Token or a tree from Tokens")
+
+    monkeypatch.setattr(tree_mod.Token, "__post_init__", forbidden)
+    monkeypatch.setattr(tree_mod.DepTree, "__init__", forbidden)
+    code, out, err = run(capsys, *argv, str(sample_path), "--unit", unit)
+    assert (code, err) == (0, "")
+    assert out.startswith(argv[0] + ": 5 sentence(s), unit=" + unit)

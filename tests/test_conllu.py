@@ -35,6 +35,13 @@ class TestParse:
         assert [t.form for t in t5.tokens] == ["De", "le", "calme", "!"]
         assert t5.heads == {1: 2, 2: 3, 3: 0, 4: 3}
 
+    def test_sent_ids_and_char_lengths(self, sample_trees):
+        assert [t.sent_id for t in sample_trees] == ["1", "2", "3", "4", "5"]
+        assert sample_trees[0].char_lengths == (5, 5, 2, 5)
+        assert drop_punctuation(sample_trees[4]).sent_id == "5"
+        (t,) = parse_conllu("# sent_id = x\n\n" + row(1, "il", 0) + "\n")
+        assert t.sent_id is None  # the comment is not in the sentence's block
+
     def test_no_trailing_blank_line_needed(self):
         text = row(1, "il", 2) + "\n" + row(2, "dort", 0)
         trees = parse_conllu(text)

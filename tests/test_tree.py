@@ -72,6 +72,13 @@ class TestDepTree:
         assert t.subtree_size(4) == 2
         assert t.subtree_size(2) == 4
 
+    def test_columns_follow_the_tokens(self):
+        t = build_tree([Token(2, "e\u0301te\u0301"), Token(1, "", 4)], {1: 2, 2: ROOT})
+        assert t.forms == ("", "e\u0301te\u0301")
+        assert t.char_lengths == (4, 3)
+        assert [tok.index for tok in t.tokens] == [1, 2]
+        assert t.sent_id is None
+
     def test_heads_copy_is_isolated(self):
         t = tree_of({1: 0, 2: 1})
         h = t.heads
