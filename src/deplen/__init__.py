@@ -7,142 +7,39 @@ of word-order placement predictions on synthetic trees, and ships a
 small French case study comparing clitic and full-noun objects.
 """
 
-from .errors import (
-    CycleError,
-    DeplenError,
-    DisconnectedError,
-    DomainError,
-    EmptyCorpusError,
-    InfeasibleConstraintsError,
-    MultiRootError,
-    NonLeafPunctuationError,
-    NonMonotoneError,
-    ParseError,
-    RangeError,
-    SizeMismatchError,
-    TooLargeError,
-    UnknownEdgeError,
-)
-from .tree import (
-    ROOT,
-    DepTree,
-    Linearization,
-    Token,
-    Unit,
-    build_tree,
-    char_count,
-    is_projective,
-    random_tree,
-)
-from .conllu import (
-    drop_punctuation,
-    is_punctuation,
-    parse_conllu,
-    to_conllu,
-)
-from .costs import (
-    IDENTITY,
-    CostFunction,
-    PairingResult,
-    cost_function_from_spec,
-    make_cost_function,
-    optimal_pairing,
-    verify_pairing_optimal,
-)
-from .metrics import (
-    CostReport,
-    EdgeLength,
-    LengthHistogram,
-    cost_D,
-    edge_length,
-    generalized_cost,
-    length_histogram,
-    sum_lengths,
-    word_centers,
-)
-from .optimize import (
-    MlaResult,
-    PrecedenceConstraint,
-    brute_force_mla,
-    enumerate_projective,
-    projective_mla,
-)
-from .predictions import (
-    PredictionReport,
-    antilocality_demo,
-    check_auxiliary_placement,
-    check_star_placement,
-    check_verb_argument_branching,
-    run_default_suite,
-    star_tree,
-)
-from .casestudy import (
-    CaseStudyReport,
-    Fixture,
-    compare_fixture,
-    french_fixture,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ROOT",
-    "CaseStudyReport",
-    "CostFunction",
-    "CostReport",
-    "CycleError",
-    "DepTree",
-    "DeplenError",
-    "DisconnectedError",
-    "DomainError",
-    "EdgeLength",
-    "EmptyCorpusError",
-    "Fixture",
-    "IDENTITY",
-    "InfeasibleConstraintsError",
-    "LengthHistogram",
-    "Linearization",
-    "MlaResult",
-    "MultiRootError",
-    "NonLeafPunctuationError",
-    "NonMonotoneError",
-    "PairingResult",
-    "ParseError",
-    "PrecedenceConstraint",
-    "PredictionReport",
-    "RangeError",
-    "SizeMismatchError",
-    "Token",
-    "TooLargeError",
-    "Unit",
-    "UnknownEdgeError",
-    "antilocality_demo",
-    "brute_force_mla",
-    "build_tree",
-    "char_count",
-    "check_auxiliary_placement",
-    "check_star_placement",
-    "check_verb_argument_branching",
-    "compare_fixture",
-    "cost_D",
-    "cost_function_from_spec",
-    "drop_punctuation",
-    "edge_length",
-    "enumerate_projective",
-    "french_fixture",
-    "generalized_cost",
-    "is_projective",
-    "is_punctuation",
-    "length_histogram",
-    "make_cost_function",
-    "optimal_pairing",
-    "parse_conllu",
-    "projective_mla",
-    "random_tree",
-    "run_default_suite",
-    "star_tree",
-    "sum_lengths",
-    "to_conllu",
-    "verify_pairing_optimal",
-    "word_centers",
-]
+# Each public name, by the module that defines it.  A module is imported
+# when one of its names is first used, so a run loads only what it needs.
+_EXPORTS = {
+    "errors": """CycleError DeplenError DisconnectedError DomainError
+        EmptyCorpusError InfeasibleConstraintsError MultiRootError
+        NonLeafPunctuationError NonMonotoneError ParseError RangeError
+        SizeMismatchError TooLargeError UnknownEdgeError""",
+    "tree": """ROOT DepTree Linearization Token Unit build_tree char_count
+        is_projective random_tree""",
+    "conllu": "drop_punctuation is_punctuation parse_conllu to_conllu",
+    "costs": """IDENTITY CostFunction PairingResult cost_function_from_spec
+        make_cost_function optimal_pairing verify_pairing_optimal""",
+    "metrics": """CostReport EdgeLength LengthHistogram cost_D edge_length
+        generalized_cost length_histogram sum_lengths word_centers""",
+    "optimize": """MlaResult PrecedenceConstraint brute_force_mla
+        enumerate_projective projective_mla""",
+    "predictions": """PredictionReport antilocality_demo check_auxiliary_placement
+        check_star_placement check_verb_argument_branching run_default_suite
+        star_tree""",
+    "casestudy": "CaseStudyReport Fixture compare_fixture french_fixture",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + _MODULE_OF[name], __name__), name)
+    globals()[name] = value
+    return value

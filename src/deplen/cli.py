@@ -16,17 +16,16 @@ from collections import Counter
 from fractions import Fraction
 
 from . import __version__
-from .casestudy import compare_fixture
 from .conllu import drop_punctuation, parse_conllu
 from .costs import (
+    BRUTE_FORCE_MAX,
     PAIRING_VERIFY_MAX,
     cost_function_from_spec,
     optimal_pairing,
     verify_pairing_optimal,
 )
-from .errors import DeplenError, EmptyCorpusError, TooLargeError
+from .errors import DeplenError, EmptyCorpusError
 from .metrics import LengthHistogram, cost_D, frac_dec, frac_str
-from .optimize import BRUTE_FORCE_MAX, _plan_one
 from .tree import Unit
 
 RATIONAL_FIELDS = ("observed", "optimal", "gap")  # optimize rows, exact and decimal
@@ -105,7 +104,7 @@ def _load_corpus(args):
         text = fh.read()
     trees = parse_conllu(text)
     if args.drop_punct:
-        trees = [drop_punctuation(t) for t in trees]
+        trees = _each_sentence(drop_punctuation, trees)
     if not trees:
         raise EmptyCorpusError("no sentences in %s" % args.input)
     return trees
@@ -147,7 +146,7 @@ def cmd_analyze(args, out) -> int:
     unit = Unit(args.unit)
     g = _cost_fn(args)
     reports = _each_sentence(
-        lambda t: cost_D(t, t.identity_linearization(), g, unit), trees
+        lambda t: cost_D(t, None, g, unit), trees
     )
     histogram = None
     if unit is Unit.WORDS:
@@ -183,10 +182,9 @@ def cmd_analyze(args, out) -> int:
 
 
 def cmd_optimize(args, out) -> int:
-    if args.max_n > BRUTE_FORCE_MAX:
-        raise TooLargeError(
-            "--max-n is capped at %d (exhaustive search)" % BRUTE_FORCE_MAX
-        )
+    from .optimize import _plan_one, check_max_n
+
+    check_max_n(args.max_n)
     trees = _load_corpus(args)
     unit = Unit(args.unit)
     g = _cost_fn(args)
@@ -297,6 +295,8 @@ def cmd_pair(args, out) -> int:
 
 
 def cmd_casestudy(args, out) -> int:
+    from .casestudy import compare_fixture
+
     unit = Unit(args.unit)
     report = compare_fixture(unit=unit)
     tail = (

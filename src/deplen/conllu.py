@@ -11,7 +11,7 @@ from __future__ import annotations
 import unicodedata
 
 from .errors import DeplenError, NonLeafPunctuationError, ParseError
-from .tree import ROOT, DepTree, char_count
+from .tree import ROOT, DepTree
 
 
 def parse_conllu(text: str) -> list[DepTree]:
@@ -33,9 +33,7 @@ def parse_conllu(text: str) -> list[DepTree]:
                 if not in_order:
                     forms, heads = _sorted_columns(lines, start, line_no, sent_no)
                 try:
-                    trees.append(DepTree._trusted(
-                        forms, map(char_count, forms), heads, sent_id
-                    ))
+                    trees.append(DepTree._trusted(forms, heads, sent_id))
                 except DeplenError as e:
                     raise type(e)("sentence %d: %s" % (sent_no, e)) from e
                 forms, heads = [], []
@@ -138,9 +136,10 @@ def drop_punctuation(tree: DepTree) -> DepTree:
     if not kept:
         raise ParseError("sentence contains only punctuation")
     renum = dict(zip([ROOT] + kept, range(len(kept) + 1)))  # ROOT stays 0
+    lengths = vars(tree).get("char_lengths")  # None until first read: stays lazy
     return DepTree._trusted(
         [tree.forms[i - 1] for i in kept],
-        [tree.char_lengths[i - 1] for i in kept],
-        [renum[tree.head_of(i)] for i in kept],
+        [renum[tree.head_column[i - 1]] for i in kept],
         tree.sent_id,
+        None if lengths is None else [lengths[i - 1] for i in kept],
     )

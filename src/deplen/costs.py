@@ -254,6 +254,9 @@ class PairingResult:
 
 
 PAIRING_VERIFY_MAX = 8  # largest m whose m! assignments are all checked
+# Largest n optimize.brute_force_mla searches; kept here so that the CLI
+# can state it without loading the search module.
+BRUTE_FORCE_MAX = 10
 
 
 def _pairing_values(p_values, g_values):

@@ -40,19 +40,20 @@ def frac_dec(value) -> str:
     return repr(value.numerator / value.denominator)
 
 
-def _half_positions(tree, unit, seq):
+def _half_positions(tree, unit, seq=None):
     """Each token's doubled center, by token - 1, in the order seq.
 
-    A word is 1 wide in the words unit, so its doubled center is twice its
-    position, and its length plus one space wide in characters (see
-    word_centers).
+    seq None is the tree's own order.  A word is 1 wide in the words unit,
+    so its doubled center is twice its position, and its length plus one
+    space wide in characters (see word_centers); start is the prefix sum
+    of the widths placed so far.
     """
     chars = unit is Unit.CHARACTERS
     widths = tree.char_lengths if chars else (1,) * tree.n
     gap = 1 if chars else 0
     at = [0] * tree.n
     start = 1
-    for t in seq:
+    for t in range(1, tree.n + 1) if seq is None else seq:
         w = widths[t - 1]
         at[t - 1] = 2 * start + w - 1
         start += w + gap
@@ -72,13 +73,16 @@ def word_centers(tree: DepTree, lin: Linearization) -> dict[int, int]:
 
 
 def edge_halves(tree, lin, unit):
-    """Per-edge lengths in half-units, ordered like tree.edges."""
-    if lin.n != tree.n:
+    """Per-edge lengths in half-units, ordered like tree.edges.
+
+    lin None measures the tree's own order, without building one.
+    """
+    if lin is not None and lin.n != tree.n:
         raise ValueError(
             "order has %d tokens but the tree has %d" % (lin.n, tree.n)
         )
-    at = _half_positions(tree, unit, lin.seq)
-    return [abs(at[h - 1] - at[d - 1]) for h, d in tree.edges]
+    at = _half_positions(tree, unit, None if lin is None else lin.seq)
+    return [abs(at[h - 1] - c) for h, c in zip(tree.head_column, at) if h]
 
 
 @dataclass(frozen=True)
@@ -180,7 +184,7 @@ class CostReport:
 
 
 def cost_D(tree, lin, g=None, unit: Unit = Unit.WORDS) -> CostReport:
-    """Aggregate cost of an arrangement under a per-distance cost g.
+    """Aggregate cost of an arrangement (lin None: the tree's own) under g.
 
     Computes D = (n-1) * sum_d p(d) g(d) from the distance proportions
     and checks it against the direct edge-wise sum; with exact

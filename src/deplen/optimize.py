@@ -25,12 +25,11 @@ from functools import partial
 from itertools import permutations
 from math import factorial, inf
 
-from .costs import IDENTITY
+from .costs import BRUTE_FORCE_MAX, IDENTITY
 from .errors import InfeasibleConstraintsError, TooLargeError
 from .metrics import cost_D, frac_dec, frac_str, sum_lengths
 from .tree import Linearization, Unit
 
-BRUTE_FORCE_MAX = 10
 SUBSET_DP_MAX = 16
 PROJECTIVE_ENUM_MAX = 12
 PROJECTIVE_DEGREE_MAX = 16
@@ -40,6 +39,14 @@ def _check_n(tree, limit, search):
     if tree.n > limit:
         raise TooLargeError(
             "%s is limited to n <= %d, got n = %d" % (search, limit, tree.n)
+        )
+
+
+def check_max_n(max_n):
+    """Refuse a --max-n beyond the largest n brute force searches."""
+    if max_n > BRUTE_FORCE_MAX:
+        raise TooLargeError(
+            "--max-n is capped at %d (exhaustive search)" % BRUTE_FORCE_MAX
         )
 
 
@@ -295,7 +302,7 @@ def subset_minimum(tree, unit=Unit.WORDS) -> MlaResult:
     """
     _check_n(tree, SUBSET_DP_MAX, "subset search")
     n, chars = tree.n, unit is Unit.CHARACTERS
-    step = [2 * (c + 1 if chars else 1) for c in tree.char_lengths]
+    step = [2 * (c + 1) for c in tree.char_lengths] if chars else [2] * n
     adj = [0] * n  # each token's neighbours, as a set of bits
     for h, d in tree.edges:
         adj[h - 1] |= 1 << d - 1
@@ -480,7 +487,7 @@ def _plan_one(tree, unit, g, max_n, exact):
 
 def _optimize_one(tree, unit, g, mode, search):
     """Observed cost of the tree's own order against search()'s minimum."""
-    observed = cost_D(tree, tree.identity_linearization(), g, unit).D
+    observed = cost_D(tree, None, g, unit).D
     result = search()
     gap = observed / result.min_cost if result.min_cost else Fraction(1)
     return {

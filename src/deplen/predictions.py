@@ -98,7 +98,7 @@ def check_star_placement(k: int, g=None) -> PredictionReport:
     def judge(result, g):
         optima = result.optimal_orders
         head_positions = {lin.position(1) for lin in optima}
-        peripheral = cost_D(tree, tree.identity_linearization(), g).D
+        peripheral = cost_D(tree, None, g).D
         detail = {
             "k": k,
             "medians": sorted(medians),

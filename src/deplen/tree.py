@@ -79,18 +79,21 @@ class DepTree:
             raise ValueError("no head given for token %s" % e) from e
         self._link(heads)
         self.tokens = tokens  # fills the cached property
+        self.char_lengths = tuple(t.char_length for t in tokens)  # may be synthetic
 
     @classmethod
-    def _trusted(cls, forms, char_lengths, heads, sent_id=None):
+    def _trusted(cls, forms, heads, sent_id=None, char_lengths=None):
         """A tree over columns the caller has checked, as parse_conllu does.
 
-        Token i has forms[i - 1], the agreeing length char_lengths[i - 1] and
-        the int head heads[i - 1]; only the checks of _link run.
+        Token i has forms[i - 1] and the int head heads[i - 1]; only the
+        checks of _link run.  char_lengths, if given, must agree with the
+        forms; if not, they are counted from the forms on first use.
         """
         tree = cls.__new__(cls)
         tree._link(heads)
-        tree.forms, tree.char_lengths = tuple(forms), tuple(char_lengths)
-        tree.sent_id = sent_id
+        tree.forms, tree.sent_id = tuple(forms), sent_id
+        if char_lengths is not None:
+            tree.char_lengths = tuple(char_lengths)
         return tree
 
     def _link(self, heads):
@@ -116,9 +119,11 @@ class DepTree:
             if walk[v] == start:
                 raise CycleError("cycle through token %d" % v)
         self.root = heads.index(ROOT) + 1
-        self._heads = dict(enumerate(heads, 1))
+        self.head_column = tuple(heads)
 
-    # Made from Tokens or from columns (by index - 1), a tree derives the other.
+    # Made from Tokens, a tree keeps them and their lengths and derives its
+    # forms; made from columns (by index - 1), it counts the characters of
+    # its forms, and builds its Tokens, only on first use.
 
     @cached_property
     def tokens(self) -> tuple[Token, ...]:
@@ -131,26 +136,28 @@ class DepTree:
 
     @cached_property
     def char_lengths(self) -> tuple[int, ...]:
-        return tuple(t.char_length for t in self.tokens)
+        return tuple(map(char_count, self.forms))
 
     @property
     def heads(self) -> dict[int, int]:
-        return dict(self._heads)
+        return dict(enumerate(self.head_column, 1))
 
     @property
     def n(self) -> int:
-        return len(self._heads)
+        return len(self.head_column)
 
     def token(self, index: int) -> Token:
         return self.tokens[index - 1]
 
     def head_of(self, index: int) -> int:
-        return self._heads[index]
+        if not 1 <= index <= self.n:
+            raise KeyError(index)
+        return self.head_column[index - 1]
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """(head, dependent) pairs, ordered by dependent index."""
-        return tuple([(h, d) for d, h in self._heads.items() if h != ROOT])
+        return tuple([(h, d) for d, h in enumerate(self.head_column, 1) if h != ROOT])
 
     @cached_property
     def edge_set(self) -> frozenset[tuple[int, int]]:
@@ -158,10 +165,10 @@ class DepTree:
 
     @cached_property
     def _children(self) -> dict[int, tuple[int, ...]]:
-        out = {i: [] for i in range(1, self.n + 1)}
-        for h, d in self.edges:
+        out = [[] for _ in range(self.n + 1)]  # by head; out[ROOT] holds the root
+        for d, h in enumerate(self.head_column, 1):
             out[h].append(d)
-        return {i: tuple(v) for i, v in out.items()}
+        return {i: tuple(out[i]) for i in range(1, self.n + 1)}
 
     def children(self, index: int) -> tuple[int, ...]:
         return self._children[index]

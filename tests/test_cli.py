@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -165,6 +166,25 @@ class TestAnalyze:
         assert err == (
             "error: sentence 2 (sent_id a0-2): table has no cost for d=2 (domain 1..1)\n"
         )
+
+    @pytest.mark.parametrize(
+        "tokens, message",
+        [
+            ([("a", 2), ("-", 0)], "punctuation token 2 ('-') has dependents"),
+            ([("!", 0)], "sentence contains only punctuation"),
+        ],
+    )
+    def test_a_drop_punct_error_names_the_sentence(self, capsys, tmp_path, tokens, message):
+        row = "%d\t%s\t_\t_\t_\t_\t%d\t_\t_\t_"
+        second = "\n".join(row % (i, f, h) for i, (f, h) in enumerate(tokens, start=1))
+        corpus = tmp_path / "c.conllu"
+        corpus.write_text(
+            "# sent_id = x1\n" + row % (1, "w", 0) + "\n\n# sent_id = x2\n" + second + "\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "analyze", str(corpus), "--drop-punct")
+        assert (code, out) == (2, "")
+        assert err == "error: sentence 2 (sent_id x2): %s\n" % message
 
 
 class TestOptimize:
@@ -532,3 +552,21 @@ def test_measuring_and_searching_build_no_tokens(capsys, monkeypatch, sample_pat
     code, out, err = run(capsys, *argv, str(sample_path), "--unit", unit)
     assert (code, err) == (0, "")
     assert out.startswith(argv[0] + ": 5 sentence(s), unit=" + unit)
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize("case", ["analyze", "analyze-drop-punct", "optimize"])
+def test_words_runs_count_no_characters(capsys, monkeypatch, sample_path, case, fmt):
+    """A parsed tree counts its forms' characters only when a length is read."""
+    import deplen.conllu  # noqa: F401  (loaded, so its names are patched too)
+
+    def forbidden(form):
+        raise AssertionError("counted the characters of %r" % form)
+
+    for name, module in list(sys.modules.items()):  # every binding of char_count
+        if name.split(".")[0] == "deplen" and hasattr(module, "char_count"):
+            monkeypatch.setattr(module, "char_count", forbidden)
+    argv = [str(sample_path) if a == "SAMPLE" else a for a in GOLDEN_CASES[case]]
+    code, out, err = run(capsys, *argv, "--unit", "words", "--seed", "7", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / ("%s.%s" % (case, fmt))).read_bytes().decode("utf-8")

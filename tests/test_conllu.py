@@ -156,6 +156,13 @@ class TestPunctuation:
         t = drop_punctuation(sample_trees[0])
         assert t.heads == sample_trees[0].heads
 
+    def test_drop_keeps_synthetic_lengths_and_leaves_counting_lazy(self, sample_text):
+        t = build_tree([Token(1, "", 3), Token(2, "."), Token(3, "", 5)], {1: 0, 2: 1, 3: 1})
+        assert drop_punctuation(t).char_lengths == (3, 5)
+        dropped = drop_punctuation(parse_conllu(sample_text)[4])
+        assert "char_lengths" not in vars(dropped)
+        assert dropped.char_lengths == (2, 2, 5)
+
     def test_non_leaf_punctuation_rejected(self):
         t = build_tree(
             [Token(1, "a"), Token(2, "-"), Token(3, "b")],

@@ -7,6 +7,7 @@ common denominator and no memo.
 
 import random
 import unicodedata
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -25,11 +26,14 @@ from deplen import (
     cost_function_from_spec,
     enumerate_projective,
     make_cost_function,
+    parse_conllu,
     projective_mla,
     random_tree,
     sum_lengths,
+    to_conllu,
 )
 from deplen.costs import HalfTable
+from deplen.metrics import edge_halves
 from deplen.optimize import projective_minimum, subset_minimum
 
 LETTERS = "abcdefghijklmnop"
@@ -108,6 +112,49 @@ def test_cost_D_matches_the_fraction_oracle(unit, csv_table):
             assert rep.D == want
             assert rep.sum_lengths == Fraction(sum(halves), 2)
             assert sum_lengths(t, lin, unit) == rep.sum_lengths
+
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the DomainError it raises."""
+    try:
+        return fn(*args)
+    except DomainError as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("unit", [Unit.WORDS, Unit.CHARACTERS])
+def test_the_trees_own_order_measures_as_its_identity_order(unit, csv_table):
+    # lin None reads the head column; the explicit order goes through a
+    # Linearization.  A tree from Tokens carries its lengths, and its round
+    # trip through CoNLL-U counts them from the forms on first use.
+    rng = random.Random(4040)
+    for spec in ("identity", "log", "power:2", "power:1/2", csv_table):
+        g = cost_function_from_spec(spec)
+        for _ in range(30):
+            shape = random_tree(rng.randrange(1, 41), rng)
+            words = [Token(i, "", rng.randint(1, 9)) for i in range(1, shape.n + 1)]
+            built = build_tree(words, shape.heads)
+            (parsed,) = parse_conllu(to_conllu([built]))
+            for t in (built, parsed):
+                lin = t.identity_linearization()
+                assert edge_halves(t, None, unit) == edge_halves(t, lin, unit)
+                assert outcome(cost_D, t, None, g, unit) == outcome(cost_D, t, lin, g, unit)
+
+
+def test_cost_D_checks_the_grouped_sum_on_either_path(monkeypatch):
+    # a miscount of one distance must surface, with or without an order
+    import deplen.metrics as metrics_mod
+
+    def miscount(halves):
+        return Counter(halves) + Counter(halves[:1])
+
+    monkeypatch.setattr(metrics_mod, "Counter", miscount)
+    t = random_sentence(6, random.Random(5))
+    for lin in (None, t.identity_linearization()):
+        for unit in (Unit.WORDS, Unit.CHARACTERS):
+            with pytest.raises(AssertionError, match="grouped cost"):
+                cost_D(t, lin, None, unit)
 
 
 def random_constraints(n, rng):

@@ -72,6 +72,14 @@ class TestDepTree:
         assert t.subtree_size(4) == 2
         assert t.subtree_size(2) == 4
 
+    def test_the_head_column_is_kept_by_token(self):
+        t = tree_of({1: 2, 2: ROOT, 3: 4, 4: 2})
+        assert t.head_column == (2, ROOT, 4, 2)
+        assert t.heads == {1: 2, 2: ROOT, 3: 4, 4: 2}
+        for index in (0, 5):
+            with pytest.raises(KeyError):
+                t.head_of(index)
+
     def test_columns_follow_the_tokens(self):
         t = build_tree([Token(2, "e\u0301te\u0301"), Token(1, "", 4)], {1: 2, 2: ROOT})
         assert t.forms == ("", "e\u0301te\u0301")
