@@ -26,7 +26,7 @@ _EXPORTS = {
     "metrics": """CostReport EdgeLength LengthHistogram cost_D edge_length
         generalized_cost length_histogram sum_lengths word_centers""",
     "optimize": """MlaResult PrecedenceConstraint brute_force_mla
-        enumerate_projective projective_mla""",
+        enumerate_projective projective_minimum projective_mla subset_minimum""",
     "predictions": """PredictionReport antilocality_demo check_auxiliary_placement
         check_star_placement check_verb_argument_branching run_default_suite
         star_tree""",

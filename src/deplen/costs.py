@@ -5,7 +5,7 @@ kind snaps log(1+d) to the nearest IEEE double once and embeds that
 value exactly into the rationals, so downstream sums and comparisons
 stay exact and reproducible.  Sums over many edges go through a
 HalfTable: g is evaluated once per half-unit distance, scaled to an
-integer over a common denominator, and summed as integers.
+integer over a denominator fixed for each g, and summed as integers.
 """
 
 from __future__ import annotations
@@ -63,8 +63,20 @@ class CostFunction:
 
     @cached_property
     def half_table(self) -> "HalfTable":
-        """This function's memo over half-unit distances; see HalfTable."""
-        return HalfTable(self)
+        """This function's memo over half-unit distances; see HalfTable.
+
+        Its scale is a denominator of g at every distance d >= 1, the
+        least that any measure or search meets.
+        """
+        k = 1 if self.kind == "identity" else self.exponent  # None: log, table
+        if self.kind == "table":
+            scale = math.lcm(*(value.denominator for _, value in self.table))
+        elif k is not None and k.denominator == 1:
+            scale = 2 ** int(k)  # (h/2)**k is a multiple of 2**-k
+        else:  # log(1+d) >= log 2 > 1/2 and d**a >= 1, and every
+            # double >= 1/2 is a multiple of 2**-53
+            scale = 2 ** 53
+        return HalfTable(self, scale)
 
     def __call__(self, d) -> Fraction:
         d = Fraction(d)
@@ -157,39 +169,35 @@ IDENTITY = make_cost_function("identity")
 
 
 class HalfTable:
-    """g over half-unit distances, as integers over one common denominator.
+    """g over half-unit distances, as integers over one fixed denominator.
 
     ints[h] * Fraction(1, scale) == g(Fraction(h, 2)) for every half
     distance h evaluated so far; entries not evaluated yet are None.  g
     is called once per distinct h, in the order fill is given them, and
-    errors propagate unchanged.  When a new value's denominator does not
-    divide scale, scale grows and every entry is rescaled in place, so a
-    caller may keep a reference to ints across calls to fill.
+    errors propagate unchanged.  scale never changes, so no sum of
+    entries is ever rescaled; a value off it raises AssertionError.
     """
 
-    def __init__(self, g):
+    def __init__(self, g, scale):
         self.g = g
-        self.scale = 1
+        self.scale = scale
         self.ints = []
 
-    def fill(self, halves) -> int:
-        """Evaluate g where missing; return the factor by which scale grew."""
-        ints = self.ints
-        grown = 1
+    def fill(self, halves) -> None:
+        """Evaluate g at each half distance not evaluated yet."""
+        ints, scale = self.ints, self.scale
         for h in halves:
             if h >= len(ints):
                 ints.extend([None] * (h + 1 - len(ints)))
             if ints[h] is not None:
                 continue
             value = self.g(Fraction(h, 2))
-            den = value.denominator
-            factor = den // math.gcd(self.scale, den)
-            if factor != 1:
-                self.scale *= factor
-                grown *= factor
-                ints[:] = [None if v is None else v * factor for v in ints]
-            ints[h] = value.numerator * (self.scale // den)
-        return grown
+            if scale % value.denominator:
+                raise AssertionError(
+                    "g(%s) = %s is not a multiple of 1/%d"
+                    % (Fraction(h, 2), value, scale)
+                )
+            ints[h] = value.numerator * (scale // value.denominator)
 
 
 def cost_function_from_spec(text: str, allow_nonmonotone: bool = False) -> CostFunction:

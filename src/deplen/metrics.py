@@ -1,11 +1,10 @@
 """Dependency length measurement and aggregate cost.
 
-Lengths come in two units.  Words: absolute difference of positions,
-so adjacent words are at distance 1.  Characters: distance between
-word centers, where a word of length lam has its center (lam+1)/2
-characters into the word and adjacent words are separated by a single
-space character.  Character values are half-integers; they are carried
-as doubled integers ("half-units") so all arithmetic stays exact.
+Lengths come in two units, defined once by DepTree.widths.  Words:
+absolute difference of positions.  Characters: distance between word
+centers, with a single space between words.  Both are distances between
+doubled centers, so character values, which are half-integers, are
+carried as integers ("half-units") and all arithmetic stays exact.
 
 The aggregate cost of an arrangement is
 
@@ -43,30 +42,23 @@ def frac_dec(value) -> str:
 def _half_positions(tree, unit, seq=None):
     """Each token's doubled center, by token - 1, in the order seq.
 
-    seq None is the tree's own order.  A word is 1 wide in the words unit,
-    so its doubled center is twice its position, and its length plus one
-    space wide in characters (see word_centers); start is the prefix sum
-    of the widths placed so far.
+    seq None is the tree's own order; see DepTree.widths.
     """
-    chars = unit is Unit.CHARACTERS
-    widths = tree.char_lengths if chars else (1,) * tree.n
-    gap = 1 if chars else 0
+    widths = tree.widths(unit)
     at = [0] * tree.n
-    start = 1
+    start = 0
     for t in range(1, tree.n + 1) if seq is None else seq:
         w = widths[t - 1]
-        at[t - 1] = 2 * start + w - 1
-        start += w + gap
+        at[t - 1] = 2 * start + w
+        start += w
     return at
 
 
 def word_centers(tree: DepTree, lin: Linearization) -> dict[int, int]:
-    """Center of every word in half-character units.
+    """Doubled center of every word in characters, an integer.
 
-    The word at linear position k starts at character
-    1 + sum(lam_j + 1 for the words j before it) and its center sits
-    (lam+1)/2 - 1 characters further right.  Returned values are the
-    centers doubled, so they are always integers.
+    A word of length lam starting at character s + 1, after words of
+    total width s (see DepTree.widths), has its center at s + (lam+1)/2.
     """
     at = _half_positions(tree, Unit.CHARACTERS, lin.seq)
     return {t: at[t - 1] for t in lin.seq}
@@ -189,7 +181,7 @@ def cost_D(tree, lin, g=None, unit: Unit = Unit.WORDS) -> CostReport:
     Computes D = (n-1) * sum_d p(d) g(d) from the distance proportions
     and checks it against the direct edge-wise sum; with exact
     arithmetic the two must agree.  Both sums are integers over the
-    common denominator of g's HalfTable, so (n-1) * p(d) is the count
+    fixed scale of g's HalfTable, so (n-1) * p(d) is the count
     of distance d.
     """
     if g is None:

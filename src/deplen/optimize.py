@@ -11,9 +11,10 @@ projective_minimum finds the exact projective minimum for any unit and
 cost by a tree DP, at any n but at most 16 dependents per head;
 projective_mla constructs one directly for words and identity cost.
 enumerate_projective lazily yields every projective arrangement
-(n <= 12), a test oracle.  Costs are summed as integers through the
+(n <= 12), a test oracle.  The searches read the unit from
+DepTree.widths, and sum costs as integers over the fixed scale of the
 cost function's HalfTable, or as doubled widths for identity cost; a
-Fraction is built once per result.
+Fraction is built once per result.  Neither projective search recurses.
 """
 
 from __future__ import annotations
@@ -226,8 +227,7 @@ def brute_force_mla(tree, unit=Unit.WORDS, g=None, constraint=None) -> MlaResult
         _check_acyclic(constraint)
         _check_tokens(tree, constraint)
     table = g.half_table
-    chars = unit is Unit.CHARACTERS
-    if not chars:
+    if unit is Unit.WORDS:
         table.fill(range(2, 2 * n, 2))  # every distance 1..n-1 occurs
     edges = [(h - 1, d - 1) for h, d in tree.edges]
     adj = [[] for _ in range(n)]
@@ -240,16 +240,13 @@ def brute_force_mla(tree, unit=Unit.WORDS, g=None, constraint=None) -> MlaResult
             "no linear order satisfies the constraints"
         )
     ints, cut, full = table.ints, g.kind != "table", (1 << n) - 1
-    lam = tree.char_lengths if chars else (1,) * n
-    gap = int(chars)
+    w = tree.widths(unit)
     at, seq, sums = [0] * n, [0] * n, [0] * (n + 1)  # sums[k]: the first k placed
     best = bound = inf  # bound stays inf where there is no cut
     optima = []
 
     def refill():  # g where the order at the leaf misses it, then the path re-summed
-        nonlocal best, bound
-        grown = table.fill([abs(at[h] - at[d]) for h, d in edges])
-        best, bound = best * grown, bound * grown
+        table.fill([abs(at[h] - at[d]) for h, d in edges])
         for k, v in enumerate(seq):
             c = at[v - 1]
             sums[k + 1] = sums[k] + sum(ints[c - at[u]] for u in adj[v - 1] if at[u] < c)
@@ -258,7 +255,7 @@ def brute_force_mla(tree, unit=Unit.WORDS, g=None, constraint=None) -> MlaResult
     def descend(s, start, k):
         nonlocal best, bound, optima
         for v, back, t in moves[s]:
-            at[v] = c = 2 * start + lam[v] - 1
+            at[v] = c = 2 * start + w[v]
             seq[k] = v + 1
             x = sums[k]
             if x is not None:
@@ -270,7 +267,7 @@ def brute_force_mla(tree, unit=Unit.WORDS, g=None, constraint=None) -> MlaResult
             if t != full:
                 if x is None or x <= bound:
                     sums[k + 1] = x
-                    descend(t, start + lam[v] + gap, k + 1)
+                    descend(t, start + w[v], k + 1)
                 continue
             if x is None:
                 x = refill()
@@ -281,7 +278,7 @@ def brute_force_mla(tree, unit=Unit.WORDS, g=None, constraint=None) -> MlaResult
             elif x == best:
                 optima.append(tuple(seq))
 
-    descend(0, 1, 0)
+    descend(0, 0, 0)
     orders = tuple(map(Linearization, optima))
     return MlaResult(Fraction(best, table.scale), orders, searched, len(orders))
 
@@ -289,20 +286,20 @@ def brute_force_mla(tree, unit=Unit.WORDS, g=None, constraint=None) -> MlaResult
 def subset_minimum(tree, unit=Unit.WORDS) -> MlaResult:
     """Exact minimum over all orders for identity cost, by a DP over placed sets.
 
-    Give each token v a width w_v: 1 in words, its length plus one space
-    in characters.  An edge's doubled length is then w_h + w_d plus 2 w_v
-    for each token v it crosses.  Placing tokens left to right after the
-    placed set S, the edges crossing the next token v are the edges across
-    S's cut that do not end at v.  So rest[S], the least cost of finishing
-    from S, and ways[S], the number of finishes attaining it, take
-    O(2^n * n); every (n - |S|)! finish is covered, so searched is n!.  A
-    walk that places the smallest token keeping the cost optimal gives the
-    lexicographically smallest optimum, and no optimum is listed.  Guarded
-    at n <= 16.
+    Each token v has its width w_v (see DepTree.widths).  An edge's
+    doubled length is then w_h + w_d plus 2 w_v for each token v it
+    crosses.  Placing tokens left to right after the placed set S, the
+    edges crossing the next token v are the edges across S's cut that do
+    not end at v.  So rest[S], the least cost of finishing from S, and
+    ways[S], the number of finishes attaining it, take O(2^n * n); every
+    (n - |S|)! finish is covered, so searched is n!.  A walk that places
+    the smallest token keeping the cost optimal gives the
+    lexicographically smallest optimum, and no optimum is listed.
+    Guarded at n <= 16.
     """
     _check_n(tree, SUBSET_DP_MAX, "subset search")
-    n, chars = tree.n, unit is Unit.CHARACTERS
-    step = [2 * (c + 1) for c in tree.char_lengths] if chars else [2] * n
+    n = tree.n
+    step = [2 * w for w in tree.widths(unit)]
     adj = [0] * n  # each token's neighbours, as a set of bits
     for h, d in tree.edges:
         adj[h - 1] |= 1 << d - 1
@@ -372,31 +369,26 @@ def projective_minimum(tree, unit=Unit.WORDS, g=None) -> MlaResult:
     """
     _check_degree(tree)
     table = (g or IDENTITY).half_table
-    gap = int(unit is Unit.CHARACTERS)
-    lam = (0,) + (tree.char_lengths if gap else (1,) * tree.n)
+    w = (0,) + tree.widths(unit)
 
     def length(left, v, c, off, b):  # from v's center to c's, doubled
-        near = 2 * span[c] - off - 1 if left else off + 2 * gap + 1
-        return 2 * b + lam[v] + near
+        return 2 * b + w[v] + (2 * span[c] - off if left else off)
 
     best, span, searched = {}, {}, 1
     for v in sorted(range(1, tree.n + 1), key=tree.subtree_size):  # dependents first
         cs = tree.children(v)
         searched *= factorial(len(cs) + 1)  # the projective orders
-        span[v] = lam[v] + gap + sum(span[c] for c in cs)
+        span[v] = w[v] + sum(span[c] for c in cs)
         full = (1 << len(cs)) - 1
         width = [0] * (full + 1)  # the span of each subset of cs
         for s in range(1, full + 1):
             width[s] = width[s & (s - 1)] + span[cs[(s & -s).bit_length() - 1]]
         between = [{width[s] for s in range(full + 1) if not s >> i & 1}
                    for i in range(len(cs))]
-        grown = table.fill(sorted({
+        table.fill(sorted({
             length(left, v, c, off, b) for left in (True, False)
             for c, bs in zip(cs, between) for off in best[c] for b in bs
         }))
-        if grown != 1:  # the costs summed so far are at the old scale
-            for block in best.values():
-                block.update({o: (x * grown, q) for o, (x, q) in block.items()})
         sides = []
         for left in (True, False):
             place = [{b: min((cost + table.ints[length(left, v, c, off, b)], seq)
@@ -414,49 +406,47 @@ def projective_minimum(tree, unit=Unit.WORDS, g=None) -> MlaResult:
         best[v] = {}
         for s in range(full + 1):
             (lc, ls), (rc, rs) = sides[0][s], sides[1][full ^ s]
-            off, cand = 2 * width[s] + lam[v] - 1, (lc + rc, ls + (v,) + rs)
+            off, cand = 2 * width[s] + w[v], (lc + rc, ls + (v,) + rs)
             best[v][off] = min(cand, best[v].get(off, cand))
     cost, seq = min(best[tree.root].values())
     return MlaResult(Fraction(cost, table.scale), (Linearization(seq),), searched, 1)
 
 
-def _arrange(tree, v, parent_side):
-    """Optimal block for v's subtree, head offset minimized toward the parent.
-
-    Dependents' blocks go to alternating sides of the head in decreasing
-    subtree-size order, the smallest nearest the head, and the side
-    facing the parent receives the smaller total, which both minimizes
-    the internal total length and keeps the head as close as possible
-    to the block edge the parent connects through.
-    """
-    kids = sorted(
-        tree.children(v), key=lambda c: (-tree.subtree_size(c), c)
-    )
-    odd = kids[0::2]   # larger half: 1st, 3rd, ... largest first
-    even = kids[1::2]  # smaller half: 2nd, 4th, ...
-    if parent_side == "left":
-        left, right = even, odd
-    else:  # parent to the right, or root
-        left, right = odd, even
-    # On each side the outermost block is the largest: left side keeps
-    # decreasing order, the right side is mirrored.
-    seq = []
-    for c in left:
-        seq.extend(_arrange(tree, c, "right"))
-    seq.append(v)
-    for c in reversed(right):
-        seq.extend(_arrange(tree, c, "left"))
-    return seq
-
-
 def projective_mla(tree) -> MlaResult:
     """Optimal projective arrangement, words unit, identity cost.
 
-    Constructive: no search.  The cost of the built arrangement is
-    measured, not predicted, so the result is consistent with the
-    metrics module by construction.
+    Constructive: no search.  Dependents' blocks go to alternating sides
+    of the head in decreasing subtree-size order, the smallest nearest
+    the head, and the side facing the parent receives the smaller total,
+    which both minimizes the internal total length and keeps the head as
+    close as possible to the block edge the parent connects through.  The
+    cost of the built arrangement is measured, not predicted, so the
+    result is consistent with the metrics module by construction.
     """
-    lin = Linearization(tuple(_arrange(tree, tree.root, None)))
+    seq = []
+    todo = [(tree.root, None)]  # blocks (v, its parent's side) and heads, next last
+    while todo:
+        item = todo.pop()
+        if isinstance(item, int):
+            seq.append(item)
+            continue
+        v, parent_side = item
+        kids = sorted(
+            tree.children(v), key=lambda c: (-tree.subtree_size(c), c)
+        )
+        odd = kids[0::2]   # larger half: 1st, 3rd, ... largest first
+        even = kids[1::2]  # smaller half: 2nd, 4th, ...
+        if parent_side == "left":
+            left, right = even, odd
+        else:  # parent to the right, or root
+            left, right = odd, even
+        # On each side the outermost block is the largest: left side keeps
+        # decreasing order, the right side is mirrored.  The block reads
+        # left, v, reversed(right), so it is pushed in the opposite order.
+        todo.extend((c, "left") for c in right)
+        todo.append(v)
+        todo.extend((c, "right") for c in reversed(left))
+    lin = Linearization(tuple(seq))
     cost = sum_lengths(tree, lin, Unit.WORDS)
     return MlaResult(cost, (lin,), 1, 1)
 

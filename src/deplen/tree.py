@@ -175,17 +175,15 @@ class DepTree:
 
     @cached_property
     def _descendants(self) -> dict[int, frozenset[int]]:
+        order = [self.root]  # top-down; in reverse, dependents come first
+        for v in order:
+            order.extend(self._children[v])
         out = {}
-
-        def walk(v):
-            acc = set()
+        for v in reversed(order):
+            acc = set(self._children[v])
             for c in self._children[v]:
-                acc.add(c)
-                acc |= walk(c)
+                acc |= out[c]
             out[v] = frozenset(acc)
-            return out[v]
-
-        walk(self.root)
         return out
 
     def descendants(self, index: int) -> frozenset[int]:
@@ -194,6 +192,17 @@ class DepTree:
 
     def subtree_size(self, index: int) -> int:
         return len(self._descendants[index]) + 1
+
+    def widths(self, unit: Unit) -> tuple[int, ...]:
+        """Each token's width in the unit, by index - 1: the unit's one definition.
+
+        A token is 1 wide in words, and its length plus one space wide in
+        characters.  Placed after tokens of total width s, it has its
+        doubled center at 2s + w, w its own width.
+        """
+        if unit is Unit.CHARACTERS:
+            return tuple([c + 1 for c in self.char_lengths])
+        return (1,) * self.n
 
     def identity_linearization(self) -> "Linearization":
         return Linearization(tuple(range(1, self.n + 1)))

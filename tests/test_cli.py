@@ -15,6 +15,7 @@ from deplen import (
     cost_D,
     cost_function_from_spec,
     is_projective,
+    parse_conllu,
     random_tree,
 )
 from deplen.cli import UNIT_NAMES, main
@@ -242,6 +243,22 @@ class TestOptimize:
         payload = json.loads(out)
         methods = {s["search"] for s in payload["sentences"]}
         assert methods == {"exhaustive", "projective-enum"}
+
+    @pytest.mark.parametrize(
+        "unit, search, optimal",
+        [("words", "projective", "1199"), ("chars", "projective-enum", "2398")],
+    )
+    def test_a_deep_chain_is_searched_without_recursion(
+        self, capsys, tmp_path, unit, search, optimal
+    ):
+        # token i heads token i + 1: deeper than Python's recursion limit
+        path = write_corpus(tmp_path / "chain.conllu", list(range(1200)))
+        code, out, err = run(capsys, "optimize", path, "--unit", unit, "--format", "json")
+        assert (code, err) == (0, "")
+        (row,) = json.loads(out)["sentences"]
+        assert (row["n"], row["search"], row["optimal"]) == (1200, search, optimal)
+        (t,) = parse_conllu(Path(path).read_text(encoding="utf-8"))
+        assert is_projective(t, t.identity_linearization())
 
     def test_exact_flag_forces_full_search(self, capsys, sample_path):
         code, out, _ = run(

@@ -15,6 +15,7 @@ import pytest
 
 from deplen import (
     CostFunction,
+    DepTree,
     DomainError,
     Linearization,
     PrecedenceConstraint,
@@ -25,6 +26,7 @@ from deplen import (
     cost_D,
     cost_function_from_spec,
     enumerate_projective,
+    is_projective,
     make_cost_function,
     parse_conllu,
     projective_mla,
@@ -388,13 +390,80 @@ def test_each_distinct_distance_reaches_g_once():
     assert sorted(calls) == sorted(seen)
 
 
-def test_half_table_rescales_in_place():
-    table = HalfTable(lambda d: d / 3 if d == 2 else d)
-    ints = table.ints
-    assert table.fill([2]) == 1  # g(1) = 1
-    assert table.fill([3, 2]) == 2  # g(3/2) = 3/2
-    assert (ints[2], ints[3], table.scale) == (2, 3, 2)
-    assert table.fill([4, 2]) == 3  # g(2) = 2/3
-    assert table.ints is ints
-    assert (ints[2], ints[3], ints[4], table.scale) == (6, 9, 4, 6)
-    assert table.fill([4, 3]) == 1
+@pytest.mark.parametrize(
+    "spec, scale",
+    [("identity", 2), ("power:3", 8), ("table", 12), ("log", 2**53), ("power:1/2", 2**53)],
+    ids=["identity", "power:3", "table", "log", "power:1/2"],
+)
+def test_half_table_scale_is_fixed_by_the_kind(spec, scale):
+    if spec == "table":  # denominators 3 and 4
+        g = make_cost_function("table", table={1: Fraction(1, 3), 2: Fraction(3, 4), 3: 2})
+    else:
+        g = cost_function_from_spec(spec)
+    table = g.half_table
+    assert table.scale == scale
+    table.fill([2, 4, 6])  # g at 1, 2 and 3
+    assert table.scale == scale
+
+
+@pytest.mark.parametrize(
+    "spec", ["identity", "power:2", "power:3", "power:3/2", "power:1/2", "log", "table"]
+)
+def test_half_table_is_exact_at_its_scale(spec, csv_table):
+    g = cost_function_from_spec(csv_table if spec == "table" else spec)
+    table = g.half_table
+    # a table is defined on whole distances only, and up to 199
+    defined = [h for h in range(2, 401) if spec != "table" or (h % 2 == 0 and h < 400)]
+    assert table.fill(defined) is None
+    for h in defined:
+        assert table.ints[h] * Fraction(1, table.scale) == g(Fraction(h, 2))
+
+
+def test_a_value_off_the_scale_is_an_assertion_error():
+    with pytest.raises(AssertionError, match="not a multiple of 1/2"):
+        HalfTable(lambda d: d / 3, 2).fill([2])
+    # (1/2)**(3/2) needs 2**-54, below the least distance any search meets
+    with pytest.raises(AssertionError, match="not a multiple of 1/%d" % 2**53):
+        cost_function_from_spec("power:3/2").half_table.fill([1])
+
+
+def width_halves(widths, seq):
+    """Doubled center 2s + w of each token after tokens of total width s."""
+    at, start = {}, 0
+    for t in seq:
+        at[t] = 2 * start + widths[t - 1]
+        start += widths[t - 1]
+    return at
+
+
+def test_every_search_reads_the_unit_from_the_tree_widths(monkeypatch):
+    # In characters without the space, only DepTree.widths changes: every
+    # measure and search must follow it to the same oracle.
+    monkeypatch.setattr(
+        DepTree, "widths",
+        lambda self, unit: self.char_lengths if unit is Unit.CHARACTERS else (1,) * self.n,
+    )
+    rng = random.Random(97)
+    for spec in ("identity", "power:2", "log", "power:1/2"):
+        g = cost_function_from_spec(spec)
+        for _ in range(6):
+            t = random_sentence(rng.randrange(2, 8), rng, longest=5)
+            costs = {}
+            for seq in permutations(range(1, t.n + 1)):
+                at = width_halves(t.char_lengths, seq)
+                costs[seq] = oracle_cost(g, [abs(at[h] - at[d]) for h, d in t.edges])
+            seq = rng.choice(sorted(costs))
+            assert cost_D(t, Linearization(seq), g, Unit.CHARACTERS).D == costs[seq]
+            best = min(costs.values())
+            optima = sorted(s for s, c in costs.items() if c == best)
+            res = brute_force_mla(t, Unit.CHARACTERS, g)
+            assert (res.min_cost, [l.seq for l in res.optimal_orders]) == (best, optima)
+            if spec == "identity":
+                res = subset_minimum(t, Unit.CHARACTERS)
+                assert (res.min_cost, res.optimal_count) == (best, len(optima))
+                assert res.representative.seq == optima[0]
+            projective = min(
+                (c, s) for s, c in costs.items() if is_projective(t, Linearization(s))
+            )
+            res = projective_minimum(t, Unit.CHARACTERS, g)
+            assert (res.min_cost, res.representative.seq) == projective

@@ -21,8 +21,8 @@ MEASURING = {
 }
 
 
-@pytest.mark.parametrize("argv", [["analyze", "SAMPLE"], ["optimize", "--help"]])
-def test_measuring_and_parsing_flags_load_no_search(sample_path, argv):
+def run_loading(sample_path, argv):
+    """stdout of a CLI run, and the modules it imported."""
     argv = [str(sample_path) if a == "SAMPLE" else a for a in argv]
     env = dict(os.environ, PYTHONPATH=str(Path(deplen.__file__).resolve().parents[1]))
     proc = subprocess.run(
@@ -37,9 +37,31 @@ def test_measuring_and_parsing_flags_load_no_search(sample_path, argv):
         for line in proc.stderr.splitlines()
         if line.startswith("import time:")
     }
+    return proc.stdout, loaded
+
+
+@pytest.mark.parametrize("argv", [["analyze", "SAMPLE"], ["optimize", "--help"]])
+def test_measuring_and_parsing_flags_load_no_search(sample_path, argv):
+    out, loaded = run_loading(sample_path, argv)
     assert {m for m in loaded if m.startswith("deplen")} == MEASURING
     assert "graphlib" not in loaded
-    assert proc.stdout.startswith(("analyze: 5 sentence(s)", "usage: deplen optimize"))
+    assert out.startswith(("analyze: 5 sentence(s)", "usage: deplen optimize"))
+
+
+@pytest.mark.parametrize(
+    "argv, searches",
+    [
+        (["optimize", "SAMPLE"], {"deplen.optimize"}),
+        (["predict"], {"deplen.optimize", "deplen.predictions"}),
+    ],
+    ids=["optimize", "predict"],
+)
+def test_start_up_bound_runs_load_only_their_searches(sample_path, argv, searches):
+    # these workloads take about as long to start as to run
+    out, loaded = run_loading(sample_path, argv)
+    assert {m for m in loaded if m.startswith("deplen")} == MEASURING | searches
+    assert "deplen.casestudy" not in loaded
+    assert out.startswith(("optimize: 5 sentence(s)", "scenario "))
 
 
 def test_every_public_name_resolves():

@@ -11,6 +11,7 @@ from deplen import (
     check_auxiliary_placement,
     check_star_placement,
     check_verb_argument_branching,
+    cost_function_from_spec,
     make_cost_function,
     run_default_suite,
     star_tree,
@@ -110,6 +111,36 @@ class TestVerbArgumentBranching:
         assert check_verb_argument_branching("initial", m=1, g=POWER2).witness.min_cost == 12
         assert check_verb_argument_branching("initial", m=2, g=POWER2).witness.min_cost == 27
         assert check_verb_argument_branching("final", m=2, g=POWER2).witness.min_cost == 27
+
+    @pytest.mark.parametrize(
+        "spec, min_cost",
+        [
+            ("log", Fraction(12751853354077045, 2251799813685248)),
+            ("power:1/2", Fraction(34453805092250909, 4503599627370496)),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "position, arg1, arg2",
+        [
+            ("initial", ["first", "interior"], ["interior"]),
+            ("final", ["interior"], ["interior", "last"]),
+        ],
+    )
+    def test_concave_costs_break_two_dependent_arguments(
+        self, spec, min_cost, position, arg1, arg2
+    ):
+        # Under a concave g no optimum puts both argument heads toward the
+        # verb, though none turns one against it: the prediction fails at m = 2.
+        r = check_verb_argument_branching(position, m=2, g=cost_function_from_spec(spec))
+        assert (r.holds, r.witness.optimal_count, r.counterexample) == (False, 8, None)
+        assert (r.detail["arg1_placements"], r.detail["arg2_placements"]) == (arg1, arg2)
+        assert r.witness.min_cost == min_cost
+
+    @pytest.mark.parametrize("spec", ["identity", "log", "power:1/2", "power:2", "power:3"])
+    @pytest.mark.parametrize("position", ["initial", "final"])
+    def test_single_dependent_arguments_hold_under_every_cost(self, spec, position):
+        g = cost_function_from_spec(spec)
+        assert check_verb_argument_branching(position, m=1, g=g).holds
 
     def test_final_mirrors_initial(self):
         a = check_verb_argument_branching("initial", m=2)
