@@ -5,8 +5,9 @@ cost, in either unit, by a DP over placed sets (n <= 16); it counts the
 optima without listing them.  brute_force_mla searches every order
 (n <= 10) for any cost by a depth-first search over placed prefixes: it
 generates only the orders that meet the precedence/contiguity
-constraints, drops a prefix that already costs more than the best order
-for the kinds positive on d > 0, and returns every optimum.
+constraints (compiled once to bit masks, their tokens and any cycle
+checked first), drops a prefix that already costs more than the best
+order for the kinds positive on d > 0, and returns every optimum.
 projective_minimum finds the exact projective minimum for any unit and
 cost by a tree DP, at any n but at most 16 dependents per head;
 projective_mla constructs one directly for words and identity cost.
@@ -19,7 +20,6 @@ Fraction is built once per result.  Neither projective search recurses.
 
 from __future__ import annotations
 
-import graphlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -90,19 +90,6 @@ class PrecedenceConstraint:
                         raise ValueError("token %d appears in two blocks" % t)
                     seen.add(t)
 
-    def ordering_digraph(self) -> dict[int, set[int]]:
-        """Token-level precedence edges implied by pairs and block order."""
-        succ = {}
-        for a, b in self.pairs:
-            succ.setdefault(a, set()).add(b)
-        if self.blocks:
-            for i, bi in enumerate(self.blocks):
-                for bj in self.blocks[i + 1:]:
-                    for a in bi:
-                        for b in bj:
-                            succ.setdefault(a, set()).add(b)
-        return succ
-
     def satisfied_by(self, pos: dict[int, int]) -> bool:
         for a, b in self.pairs:
             if pos[a] >= pos[b]:
@@ -120,22 +107,51 @@ class PrecedenceConstraint:
         return True
 
 
-def _check_acyclic(constraint: PrecedenceConstraint):
-    try:
-        graphlib.TopologicalSorter(constraint.ordering_digraph()).prepare()
-    except graphlib.CycleError as e:
+def _masks(constraint, n):
+    """The constraint as bit masks over token - 1: (pred, blocks).
+
+    pred[v] holds v's paired predecessors and every token of an earlier
+    block; blocks holds each block's tokens.  A token outside 1..n is a
+    ValueError, then a cycle in pred an InfeasibleConstraintsError naming
+    a token on it, before any search.
+    """
+    named = [t for pair in constraint.pairs for t in pair]
+    named += [t for block in constraint.blocks or () for t in block]
+    outside = sorted(t for t in named if not 1 <= t <= n)
+    if outside:
+        raise ValueError(
+            "constraint names token %d, outside 1..%d" % (outside[0], n)
+        )
+    pred, blocks = [0] * n, []
+    for a, b in constraint.pairs:
+        pred[b - 1] |= 1 << a - 1
+    for block in constraint.blocks or ():
+        for t in block:
+            pred[t - 1] |= sum(blocks)  # the earlier blocks, disjoint
+        blocks.append(sum(1 << t - 1 for t in block))
+    rest, free = (1 << n) - 1, True  # peel off tokens with no predecessor left
+    while free:
+        free = sum(1 << v for v in range(n) if rest >> v & 1 and not pred[v] & rest)
+        rest &= ~free
+    if rest:  # every token left has a predecessor left: walk back to a repeat
+        v, seen = rest.bit_length() - 1, set()
+        while v not in seen:
+            seen.add(v)
+            v = (pred[v] & rest).bit_length() - 1
         raise InfeasibleConstraintsError(
-            "precedence constraints contain a cycle through token %d"
-            % e.args[1][0]
-        ) from None
+            "precedence constraints contain a cycle through token %d" % (v + 1)
+        )
+    return pred, blocks
 
 
 @dataclass(frozen=True)
 class MlaResult:
     """Outcome of an arrangement search.
 
-    optimal_orders holds the optima the search returns, the smallest
-    first: every one for brute_force_mla, one for the other searches.
+    optimal_orders holds the optima the search returns: every one for
+    brute_force_mla, in lexicographic order, and one for the others.
+    That one is the smallest for subset_minimum, the smallest projective
+    one for projective_minimum, and the one constructed for projective_mla.
     optimal_count is the number of optima counted: every one for the
     exhaustive searches, the one returned for the projective ones.
     """
@@ -147,7 +163,7 @@ class MlaResult:
 
     @property
     def representative(self) -> Linearization:
-        """Lexicographically smallest optimal order."""
+        """The first optimal order returned (see optimal_orders)."""
         return self.optimal_orders[0]
 
     def to_json_dict(self):
@@ -160,25 +176,19 @@ class MlaResult:
         }
 
 
-def _moves(adj, constraint):
+def _moves(adj, pred, blocks):
     """The admissible next steps from each placed set, and their count.
 
-    Sets are bit masks over token - 1, and adj lists each token's
-    neighbours.  moves[s] lists (v, the tokens in s linked to v, s with v)
-    for each token v that may follow s: its predecessors in
-    constraint.ordering_digraph() are in s, it finishes the block s has
-    started, if any, and some admissible order goes on from there.
-    ways[s] counts those orders, so ways[0] is the number of admissible
-    orders, n! without a constraint and 0 when none exists.
+    Sets are bit masks over token - 1 (see _masks), and adj lists each
+    token's neighbours.  moves[s] lists (v, the tokens in s linked to v,
+    s with v) for each token v that may follow s: pred[v] is in s, v
+    finishes the block s has started, if any, and some admissible order
+    goes on from there.  ways[s] counts those orders, so ways[0] is the
+    number of admissible orders, n! without a constraint and 0 when none
+    exists.
     """
     n = len(adj)
     full = (1 << n) - 1
-    pred, blocks = [0] * n, []
-    if constraint is not None:
-        for a, succ in constraint.ordering_digraph().items():
-            for b in succ:
-                pred[b - 1] |= 1 << a - 1
-        blocks = [sum(1 << t - 1 for t in b) for b in constraint.blocks or ()]
     moves, ways = [()] * (full + 1), [0] * full + [1]
     for s in range(full - 1, -1, -1):
         free = full & ~s
@@ -192,16 +202,6 @@ def _moves(adj, constraint):
         ]
         ways[s] = sum(ways[t] for _, _, t in moves[s])
     return moves, ways[0]
-
-
-def _check_tokens(tree, constraint):
-    named = {t for pair in constraint.pairs for t in pair}
-    named.update(t for block in constraint.blocks or () for t in block)
-    outside = sorted(t for t in named if not 1 <= t <= tree.n)
-    if outside:
-        raise ValueError(
-            "constraint names token %d, outside 1..%d" % (outside[0], tree.n)
-        )
 
 
 def brute_force_mla(tree, unit=Unit.WORDS, g=None, constraint=None) -> MlaResult:
@@ -223,9 +223,7 @@ def brute_force_mla(tree, unit=Unit.WORDS, g=None, constraint=None) -> MlaResult
     _check_n(tree, BRUTE_FORCE_MAX, "brute force")
     if g is None:
         g = IDENTITY
-    if constraint is not None:
-        _check_acyclic(constraint)
-        _check_tokens(tree, constraint)
+    pred, blocks = _masks(constraint or PrecedenceConstraint(), n)
     table = g.half_table
     if unit is Unit.WORDS:
         table.fill(range(2, 2 * n, 2))  # every distance 1..n-1 occurs
@@ -234,7 +232,7 @@ def brute_force_mla(tree, unit=Unit.WORDS, g=None, constraint=None) -> MlaResult
     for h, d in edges:
         adj[h].append(d)
         adj[d].append(h)
-    moves, searched = _moves(adj, constraint)
+    moves, searched = _moves(adj, pred, blocks)
     if not searched:
         raise InfeasibleConstraintsError(
             "no linear order satisfies the constraints"

@@ -4,6 +4,11 @@ A sentence is a rooted tree over tokens 1..n.  The head map sends every
 token index to the index of its head, with 0 standing for the root.  A
 Linearization assigns the tokens to positions 1..n; the order the tokens
 came in (index order) is the observed one.
+
+A DepTree stores its words as columns by index - 1 (forms, char_lengths,
+head_column) and builds its Tokens on first read.  Subtree sizes are
+counted once, in one pass without recursion; descendants are walked from
+the children on each call.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ class DepTree:
     sent_id = None  # the "# sent_id" comment of a parsed sentence, if any
 
     def __init__(self, tokens, heads):
-        tokens = tuple(sorted(tokens, key=lambda t: t.index))
+        tokens = sorted(tokens, key=lambda t: t.index)
         if not tokens:
             raise ValueError("a tree needs at least one token")
         n = len(tokens)
@@ -78,7 +83,7 @@ class DepTree:
         except KeyError as e:
             raise ValueError("no head given for token %s" % e) from e
         self._link(heads)
-        self.tokens = tokens  # fills the cached property
+        self.forms = tuple(t.form for t in tokens)
         self.char_lengths = tuple(t.char_length for t in tokens)  # may be synthetic
 
     @classmethod
@@ -121,21 +126,13 @@ class DepTree:
         self.root = heads.index(ROOT) + 1
         self.head_column = tuple(heads)
 
-    # Made from Tokens, a tree keeps them and their lengths and derives its
-    # forms; made from columns (by index - 1), it counts the characters of
-    # its forms, and builds its Tokens, only on first use.
-
     @cached_property
     def tokens(self) -> tuple[Token, ...]:
         columns = enumerate(zip(self.forms, self.char_lengths), 1)
         return tuple(Token(i, form, length) for i, (form, length) in columns)
 
     @cached_property
-    def forms(self) -> tuple[str, ...]:
-        return tuple(t.form for t in self.tokens)
-
-    @cached_property
-    def char_lengths(self) -> tuple[int, ...]:
+    def char_lengths(self) -> tuple[int, ...]:  # a parsed tree's, on first use
         return tuple(map(char_count, self.forms))
 
     @property
@@ -173,25 +170,25 @@ class DepTree:
     def children(self, index: int) -> tuple[int, ...]:
         return self._children[index]
 
+    def descendants(self, index: int) -> frozenset[int]:
+        """Proper descendants of a token (the token itself excluded)."""
+        out = list(self._children[index])
+        for v in out:
+            out.extend(self._children[v])
+        return frozenset(out)
+
     @cached_property
-    def _descendants(self) -> dict[int, frozenset[int]]:
+    def _sizes(self) -> dict[int, int]:
         order = [self.root]  # top-down; in reverse, dependents come first
         for v in order:
             order.extend(self._children[v])
-        out = {}
-        for v in reversed(order):
-            acc = set(self._children[v])
-            for c in self._children[v]:
-                acc |= out[c]
-            out[v] = frozenset(acc)
-        return out
-
-    def descendants(self, index: int) -> frozenset[int]:
-        """Proper descendants of a token (the token itself excluded)."""
-        return self._descendants[index]
+        size = dict.fromkeys(order, 1)
+        for v in order[:0:-1]:  # each token but the root, before its head
+            size[self.head_column[v - 1]] += size[v]
+        return size
 
     def subtree_size(self, index: int) -> int:
-        return len(self._descendants[index]) + 1
+        return self._sizes[index]
 
     def widths(self, unit: Unit) -> tuple[int, ...]:
         """Each token's width in the unit, by index - 1: the unit's one definition.
@@ -231,6 +228,8 @@ class Linearization:
 
     @classmethod
     def from_positions(cls, positions: dict[int, int]) -> "Linearization":
+        if sorted(positions.values()) != list(range(1, len(positions) + 1)):
+            raise ValueError("positions are not exactly 1..n")
         seq = tuple(t for t, _ in sorted(positions.items(), key=lambda kv: kv[1]))
         return cls(seq)
 

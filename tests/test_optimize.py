@@ -42,6 +42,19 @@ def star3():
     return build_tree(toks(3), {1: 0, 2: 1, 3: 1})
 
 
+def drawn_constraints(count, seed=29):
+    """Seeded pairs and blocks over tokens 1..n, n <= 8, most of them cyclic."""
+    rng = random.Random(seed)
+    for k in range(count):
+        tokens = list(range(1, rng.randrange(2, 9) + 1))
+        draws = rng.randrange(1, 2 * len(tokens))
+        pairs = {tuple(rng.sample(tokens, 2)) for _ in range(draws)}
+        order = rng.sample(tokens, rng.randrange(len(tokens) + 1))
+        cuts = sorted(rng.sample(range(1, len(order)), min(2, max(len(order) - 1, 0))))
+        blocks = [order[i:j] for i, j in zip([0] + cuts, cuts + [len(order)]) if i < j]
+        yield pytest.param(pairs, blocks or None, None, id="drawn-%d" % k)
+
+
 def star(k):
     """A head with k one-character dependents."""
     words = [Token(i, "x") for i in range(1, k + 2)]
@@ -204,17 +217,44 @@ class TestConstraints:
             ({(1, 2), (2, 1), (3, 1), (2, 4)}, None, {1, 2}),
             ({(1, 2), (2, 3), (3, 1), (4, 1), (3, 5)}, None, {1, 2, 3}),
             ({(3, 1)}, ((1, 2), (3,), (4, 5)), {1, 3}),
+            *drawn_constraints(40),
         ],
     )
     def test_cycle_error_names_a_token_on_the_cycle(self, pairs, blocks, cycle):
-        tree = build_tree(toks(5), {i: i - 1 for i in range(1, 6)})
+        named = [t for pair in pairs for t in pair]
+        named += [t for block in blocks or () for t in block]
+        n = max(5, *named)
+        tree = build_tree(toks(n), {i: i - 1 for i in range(1, n + 1)})
         constraint = PrecedenceConstraint(pairs=pairs, blocks=blocks)
+        succ = {t: set() for t in range(1, n + 1)}  # the implied orderings
+        for a, b in pairs:
+            succ[a].add(b)
+        for i, block in enumerate(blocks or ()):
+            for a in block:
+                succ[a].update(t for later in blocks[i + 1:] for t in later)
+
+        def on_a_cycle(t):
+            reached, todo = set(), list(succ[t])
+            while todo:
+                u = todo.pop()
+                if u not in reached:
+                    reached.add(u)
+                    todo.extend(succ[u])
+            return t in reached
+
+        if not any(map(on_a_cycle, succ)):  # an acyclic draw is searched
+            res = brute_force_mla(tree, constraint=constraint)
+            for lin in res.optimal_orders:
+                assert constraint.satisfied_by(lin.positions())
+            return
         with pytest.raises(InfeasibleConstraintsError) as exc:
             brute_force_mla(tree, constraint=constraint)
         message = str(exc.value)
         prefix = "precedence constraints contain a cycle through token "
         assert message.startswith(prefix)
-        assert int(message[len(prefix):]) in cycle
+        token = int(message[len(prefix):])
+        assert on_a_cycle(token)
+        assert cycle is None or token in cycle
 
     def test_block_order_conflicting_with_pair_is_a_cycle(self):
         with pytest.raises(InfeasibleConstraintsError):
@@ -236,7 +276,12 @@ class TestConstraints:
     @pytest.mark.parametrize("unit", [Unit.WORDS, Unit.CHARACTERS])
     @pytest.mark.parametrize(
         "pairs, blocks, token",
-        [({(1, 5)}, None, 5), (set(), [(2, 7)], 7), ({(0, 2)}, None, 0)],
+        [
+            ({(1, 5)}, None, 5),
+            (set(), [(2, 7)], 7),
+            ({(0, 2)}, None, 0),
+            ({(1, 2), (2, 1), (1, 9)}, None, 9),  # checked before the cycle
+        ],
     )
     def test_token_outside_the_tree_is_rejected(self, unit, pairs, blocks, token):
         constraint = PrecedenceConstraint(pairs=pairs, blocks=blocks)

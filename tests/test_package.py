@@ -61,6 +61,7 @@ def test_start_up_bound_runs_load_only_their_searches(sample_path, argv, searche
     out, loaded = run_loading(sample_path, argv)
     assert {m for m in loaded if m.startswith("deplen")} == MEASURING | searches
     assert "deplen.casestudy" not in loaded
+    assert "graphlib" not in loaded
     assert out.startswith(("optimize: 5 sentence(s)", "scenario "))
 
 

@@ -1,6 +1,7 @@
 """Tree construction, validation, linearizations, projectivity."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -15,6 +16,7 @@ from deplen import (
     build_tree,
     char_count,
     is_projective,
+    parse_conllu,
     random_tree,
 )
 
@@ -82,10 +84,40 @@ class TestDepTree:
 
     def test_columns_follow_the_tokens(self):
         t = build_tree([Token(2, "e\u0301te\u0301"), Token(1, "", 4)], {1: 2, 2: ROOT})
+        assert "tokens" not in vars(t)  # stored as columns, built on first read
         assert t.forms == ("", "e\u0301te\u0301")
         assert t.char_lengths == (4, 3)
         assert [tok.index for tok in t.tokens] == [1, 2]
         assert t.sent_id is None
+
+    def test_sizes_and_descendants_follow_the_heads(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            t = random_tree(rng.randrange(1, 41), rng)
+            above = {}  # each token's proper ancestors, by walking its heads
+            for i in range(1, t.n + 1):
+                above[i], h = set(), t.head_of(i)
+                while h != ROOT:
+                    above[i].add(h)
+                    h = t.head_of(h)
+            for v in range(1, t.n + 1):
+                below = {i for i in above if v in above[i]}
+                assert t.descendants(v) == below
+                assert t.subtree_size(v) == len(below) + 1
+
+    def test_sizes_of_a_long_parsed_chain_take_linear_memory(self):
+        n = 2000  # token i is headed by i - 1: sets of descendants take 87 MB
+        text = "".join("%d\tw\t_\t_\t_\t_\t%d\t_\t_\t_\n" % (i, i - 1)
+                       for i in range(1, n + 1))
+        (t,) = parse_conllu(text)
+        tracemalloc.start()
+        try:
+            sizes = [t.subtree_size(i) for i in range(1, n + 1)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sizes == [n - i + 1 for i in range(1, n + 1)]
+        assert peak < 2 * 2**20
 
     def test_heads_copy_is_isolated(self):
         t = tree_of({1: 0, 2: 1})
@@ -145,6 +177,13 @@ class TestLinearization:
         assert Linearization.identity(4).seq == (1, 2, 3, 4)
         lin = Linearization.from_positions({1: 3, 2: 1, 3: 2})
         assert lin.seq == (2, 3, 1)
+
+    def test_from_positions_needs_the_positions_1_to_n(self):
+        for positions in ({1: 1, 2: 1, 3: 2}, {1: 5, 2: 9, 3: 7}):
+            with pytest.raises(ValueError, match="positions are not exactly 1..n"):
+                Linearization.from_positions(positions)
+        lin = Linearization((3, 1, 4, 2))
+        assert Linearization.from_positions(lin.positions()) == lin
 
 
 class TestProjectivity:
