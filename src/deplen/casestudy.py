@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .metrics import edge_halves, frac_dec, frac_str
-from .tree import DepTree, Linearization, Token, Unit, build_tree
+from .tree import DepTree, Linearization, Unit
 
 
 @dataclass(frozen=True)
@@ -34,19 +34,8 @@ class Fixture:
 
 def french_fixture() -> tuple[Fixture, Fixture, Fixture]:
     """The three exemplars; (c) reuses (a)'s tree with a different order."""
-    tree_a = build_tree(
-        [
-            Token(1, "Marie"),
-            Token(2, "mange"),
-            Token(3, "la"),
-            Token(4, "pomme"),
-        ],
-        {1: 2, 2: 0, 3: 4, 4: 2},
-    )
-    tree_b = build_tree(
-        [Token(1, "Marie"), Token(2, "la"), Token(3, "mange")],
-        {1: 3, 2: 3, 3: 0},
-    )
+    tree_a = DepTree(["Marie", "mange", "la", "pomme"], [2, 0, 4, 2])
+    tree_b = DepTree(["Marie", "la", "mange"], [3, 3, 0])
     a = Fixture(
         "a", "Marie mange la pomme", tree_a, tree_a.identity_linearization()
     )

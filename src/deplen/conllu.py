@@ -33,7 +33,7 @@ def parse_conllu(text: str) -> list[DepTree]:
                 if not in_order:
                     forms, heads = _sorted_columns(lines, start, line_no, sent_no)
                 try:
-                    trees.append(DepTree._trusted(forms, heads, sent_id))
+                    trees.append(DepTree(forms, heads, sent_id))
                 except DeplenError as e:
                     raise type(e)("sentence %d: %s" % (sent_no, e)) from e
                 forms, heads = [], []
@@ -136,10 +136,9 @@ def drop_punctuation(tree: DepTree) -> DepTree:
     if not kept:
         raise ParseError("sentence contains only punctuation")
     renum = dict(zip([ROOT] + kept, range(len(kept) + 1)))  # ROOT stays 0
-    lengths = vars(tree).get("char_lengths")  # None until first read: stays lazy
-    return DepTree._trusted(
-        [tree.forms[i - 1] for i in kept],
-        [renum[tree.head_column[i - 1]] for i in kept],
-        tree.sent_id,
-        None if lengths is None else [lengths[i - 1] for i in kept],
-    )
+    forms = [tree.forms[i - 1] for i in kept]
+    lengths = None  # a form's own length: counted on first use
+    if not all(forms):  # a synthetic token has only its length
+        lengths = [tree.char_lengths[i - 1] for i in kept]
+    return DepTree(forms, [renum[tree.head_column[i - 1]] for i in kept],
+                   tree.sent_id, lengths)

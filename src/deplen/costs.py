@@ -6,6 +6,8 @@ value exactly into the rationals, so downstream sums and comparisons
 stay exact and reproducible.  Sums over many edges go through a
 HalfTable: g is evaluated once per half-unit distance, scaled to an
 integer over a denominator fixed for each g, and summed as integers.
+A CostFunction keeps its kind and at most one parameter: a power's
+exponent, or a table's values g(1), ..., g(K) as a tuple.
 """
 
 from __future__ import annotations
@@ -44,22 +46,22 @@ def _exact(value) -> Fraction:
 
 @dataclass(frozen=True)
 class CostFunction:
-    """A per-dependency cost g(d), strictly increasing in d.
+    """A per-dependency cost g(d) of kind 'identity', 'power', 'log' or 'table'.
 
-    kind is one of 'identity', 'power', 'log', 'table'.  Tables are
-    defined on integer d in 1..domain_max only; the analytic kinds are
-    total on d > 0.  domain_max on an analytic kind only bounds the
-    range over which monotonicity was checked at construction.
+    The analytic kinds are total on d > 0 and increasing.  A table is
+    the tuple g(1), ..., g(K), defined on integers 1..K only;
+    make_cost_function checks that it is strictly increasing unless
+    allow_nonmonotone is set.
     """
 
     kind: str
     exponent: Fraction | None = None
-    table: tuple[tuple[int, Fraction], ...] | None = None
-    domain_max: int | None = None
+    table: tuple[Fraction, ...] | None = None
 
-    @cached_property
-    def _table_map(self) -> dict[int, Fraction] | None:
-        return dict(self.table) if self.table is not None else None
+    @property
+    def domain_max(self) -> int | None:
+        """K for a table on 1..K; None for the analytic kinds."""
+        return None if self.table is None else len(self.table)
 
     @cached_property
     def half_table(self) -> "HalfTable":
@@ -70,7 +72,7 @@ class CostFunction:
         """
         k = 1 if self.kind == "identity" else self.exponent  # None: log, table
         if self.kind == "table":
-            scale = math.lcm(*(value.denominator for _, value in self.table))
+            scale = math.lcm(*(value.denominator for value in self.table))
         elif k is not None and k.denominator == 1:
             scale = 2 ** int(k)  # (h/2)**k is a multiple of 2**-k
         else:  # log(1+d) >= log 2 > 1/2 and d**a >= 1, and every
@@ -93,13 +95,12 @@ class CostFunction:
         # table
         if d.denominator != 1:
             raise DomainError("table costs are defined on integers only")
-        value = self._table_map.get(int(d))
-        if value is None:
+        if d > len(self.table):
             raise DomainError(
                 "table has no cost for d=%d (domain 1..%d)"
                 % (int(d), self.domain_max)
             )
-        return value
+        return self.table[int(d) - 1]
 
     def spec(self) -> str:
         """Canonical spec string for reports."""
@@ -114,13 +115,14 @@ def make_cost_function(
     kind: str,
     exponent=None,
     table=None,
-    domain_max: int | None = None,
     allow_nonmonotone: bool = False,
 ) -> CostFunction:
     """Build and validate a cost function.
 
     Tables must cover integer distances 1..K consecutively and be
-    strictly increasing unless allow_nonmonotone is set.
+    strictly increasing unless allow_nonmonotone is set.  The analytic
+    kinds need no check: identity, power with an exponent > 0 and log
+    are increasing by definition.
     """
     if kind not in KINDS:
         raise ValueError("unknown cost kind %r; expected one of %s" % (kind, ", ".join(KINDS)))
@@ -140,29 +142,17 @@ def make_cost_function(
         keys = [k for k, _ in entries]
         if keys != list(range(1, len(keys) + 1)):
             raise ValueError("table keys must be exactly 1..%d" % len(keys))
-        table = tuple(entries)
-        domain_max = len(keys)
+        table = tuple(v for _, v in entries)
         if not allow_nonmonotone:
-            for (d1, v1), (d2, v2) in zip(entries, entries[1:]):
+            for d, (v1, v2) in enumerate(zip(table, table[1:]), 2):
                 if v2 <= v1:
                     raise NonMonotoneError(
                         "table not strictly increasing at d=%d (%s -> %s)"
-                        % (d2, v1, v2)
+                        % (d, v1, v2)
                     )
     elif table is not None:
         raise ValueError("%s cost takes no table" % kind)
-
-    fn = CostFunction(kind, exponent, table, domain_max)
-    if kind != "table" and domain_max is not None:
-        if domain_max < 1:
-            raise ValueError("domain_max must be >= 1")
-        if not allow_nonmonotone:
-            for d in range(1, domain_max):
-                if fn(d + 1) <= fn(d):
-                    raise NonMonotoneError(
-                        "cost not strictly increasing at d=%d" % (d + 1)
-                    )
-    return fn
+    return CostFunction(kind, exponent, table)
 
 
 IDENTITY = make_cost_function("identity")
@@ -208,10 +198,8 @@ def cost_function_from_spec(text: str, allow_nonmonotone: bool = False) -> CostF
     columns d,cost.
     """
     text = text.strip()
-    if text == "identity":
-        return make_cost_function("identity")
-    if text == "log":
-        return make_cost_function("log")
+    if text in ("identity", "log"):
+        return make_cost_function(text)
     if text.startswith("power:"):
         raw = text[len("power:"):]
         try:
@@ -243,7 +231,14 @@ def _read_table_csv(path: str) -> dict[int, Fraction]:
                 raise ValueError(
                     "%s row %d: expected columns d,cost" % (path, row_no)
                 )
-            table[int(row[0])] = Fraction(row[1].strip())
+            try:
+                d, cost = int(row[0]), Fraction(row[1].strip())
+            except (ValueError, ZeroDivisionError):
+                raise ValueError("%s row %d: expected an integer d and a rational"
+                                 " cost, got %r" % (path, row_no, ",".join(row[:2]))) from None
+            if d in table:
+                raise ValueError("%s row %d: distance %d listed twice" % (path, row_no, d))
+            table[d] = cost
     if not table:
         raise ValueError("%s: empty cost table" % path)
     return table

@@ -401,6 +401,8 @@ def projective_minimum(tree, unit=Unit.WORDS, g=None) -> MlaResult:
                 side.append(min(outermost(s ^ 1 << i, i)
                                 for i in range(len(cs)) if s >> i & 1))
             sides.append(side)
+        for c in cs:  # no map but v's is read again: free its dependents'
+            del best[c]
         best[v] = {}
         for s in range(full + 1):
             (lc, ls), (rc, rs) = sides[0][s], sides[1][full ^ s]

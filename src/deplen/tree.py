@@ -5,8 +5,9 @@ token index to the index of its head, with 0 standing for the root.  A
 Linearization assigns the tokens to positions 1..n; the order the tokens
 came in (index order) is the observed one.
 
-A DepTree stores its words as columns by index - 1 (forms, char_lengths,
-head_column) and builds its Tokens on first read.  Subtree sizes are
+A DepTree is built from its columns by index - 1 (forms, heads and, where
+a length is not the form's, char_lengths) and builds its Tokens on first
+read; build_tree is the one path from Tokens to columns.  Subtree sizes are
 counted once, in one pass without recursion; descendants are walked from
 the children on each call.
 """
@@ -67,43 +68,21 @@ class Token:
 
 
 class DepTree:
-    """Immutable rooted dependency tree over tokens 1..n."""
+    """Immutable rooted dependency tree over tokens 1..n, kept as columns.
 
-    sent_id = None  # the "# sent_id" comment of a parsed sentence, if any
+    Token i has the form forms[i - 1] and the int head heads[i - 1], with
+    ROOT for the root; sent_id is the "# sent_id" comment of a parsed
+    sentence, if any.  char_lengths, if given, must agree with the
+    non-empty forms, as a Token checks; if not, they are counted
+    from the forms on first use.
+    """
 
-    def __init__(self, tokens, heads):
-        tokens = sorted(tokens, key=lambda t: t.index)
-        if not tokens:
-            raise ValueError("a tree needs at least one token")
-        n = len(tokens)
-        if [t.index for t in tokens] != list(range(1, n + 1)):
-            raise ValueError("token indices must be exactly 1..n")
-        try:
-            heads = [int(heads[i]) for i in range(1, n + 1)]
-        except KeyError as e:
-            raise ValueError("no head given for token %s" % e) from e
-        self._link(heads)
-        self.forms = tuple(t.form for t in tokens)
-        self.char_lengths = tuple(t.char_length for t in tokens)  # may be synthetic
-
-    @classmethod
-    def _trusted(cls, forms, heads, sent_id=None, char_lengths=None):
-        """A tree over columns the caller has checked, as parse_conllu does.
-
-        Token i has forms[i - 1] and the int head heads[i - 1]; only the
-        checks of _link run.  char_lengths, if given, must agree with the
-        forms; if not, they are counted from the forms on first use.
-        """
-        tree = cls.__new__(cls)
-        tree._link(heads)
-        tree.forms, tree.sent_id = tuple(forms), sent_id
-        if char_lengths is not None:
-            tree.char_lengths = tuple(char_lengths)
-        return tree
-
-    def _link(self, heads):
-        """Check and keep the head column: heads[i - 1] is token i's head."""
+    def __init__(self, forms, heads, sent_id=None, char_lengths=None):
         n = len(heads)
+        for name, column in (("forms", forms), ("char_lengths", char_lengths)):
+            if column is not None and len(column) != n:
+                raise ValueError("%s has %d entries for %d heads"
+                                 % (name, len(column), n))
         roots = heads.count(ROOT)
         if roots != 1:
             raise MultiRootError("expected exactly one root, found %d" % roots)
@@ -116,7 +95,7 @@ class DepTree:
         # Every token must reach the root by following heads.  With one
         # root and all heads in range, a walk can only fail on a cycle, by
         # coming back to a token it has met; earlier walks reached the root.
-        head, walk = [ROOT] + heads, [-1] + [0] * n  # the walk that met each token
+        head, walk = [ROOT, *heads], [-1] + [0] * n  # the walk that met each token
         for start in range(1, n + 1):
             v = start
             while not walk[v]:
@@ -125,6 +104,9 @@ class DepTree:
                 raise CycleError("cycle through token %d" % v)
         self.root = heads.index(ROOT) + 1
         self.head_column = tuple(heads)
+        self.forms, self.sent_id = tuple(forms), sent_id
+        if char_lengths is not None:
+            self.char_lengths = tuple(char_lengths)
 
     @cached_property
     def tokens(self) -> tuple[Token, ...]:
@@ -206,8 +188,24 @@ class DepTree:
 
 
 def build_tree(tokens, heads) -> DepTree:
-    """Validate tokens plus a head map and return the tree."""
-    return DepTree(tokens, heads)
+    """A tree from Tokens, in any order, and a head map {index: head}.
+
+    The one path from Tokens to a tree's columns: the Tokens' indices
+    must be exactly 1..n, each with a head, and their forms and lengths
+    become the tree's.
+    """
+    tokens = sorted(tokens, key=lambda t: t.index)
+    if not tokens:
+        raise ValueError("a tree needs at least one token")
+    n = len(tokens)
+    if [t.index for t in tokens] != list(range(1, n + 1)):
+        raise ValueError("token indices must be exactly 1..n")
+    try:
+        heads = [int(heads[i]) for i in range(1, n + 1)]
+    except KeyError as e:
+        raise ValueError("no head given for token %s" % e) from e
+    return DepTree([t.form for t in tokens], heads,
+                   char_lengths=[t.char_length for t in tokens])
 
 
 @dataclass(frozen=True)

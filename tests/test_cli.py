@@ -145,6 +145,19 @@ class TestAnalyze:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("rows, message", [
+        ("1,1\n1,2\n2,3\n", "row 2: distance 1 listed twice"),
+        ("1,1\n2,1/0\n", "row 2: expected an integer d and a rational cost, got '2,1/0'"),
+        ("1,1\n1.5,2\n", "row 2: expected an integer d and a rational cost, got '1.5,2'"),
+        ("1,1\n2,abc\n", "row 2: expected an integer d and a rational cost, got '2,abc'"),
+    ])
+    def test_malformed_cost_table_names_its_row(self, capsys, sample_path, tmp_path, rows, message):
+        table = tmp_path / "g.csv"
+        table.write_text(rows, encoding="utf-8")
+        code, out, err = run(capsys, "analyze", str(sample_path), "--g", "table:%s" % table)
+        assert (code, out) == (2, "")
+        assert err == "error: %s %s\n" % (table, message)
+
     def test_short_cost_table_names_the_sentence(self, capsys, tmp_path):
         corpus = write_corpus(tmp_path / "c.conllu", [2, 0], [0, 1, 1])
         table = tmp_path / "g.csv"
@@ -558,14 +571,16 @@ def test_each_format_builds_only_what_it_prints(capsys, monkeypatch, sample_path
 @pytest.mark.parametrize("unit", UNIT_NAMES)
 @pytest.mark.parametrize("argv", [["analyze"], ["analyze", "--drop-punct"], ["optimize"]])
 def test_measuring_and_searching_build_no_tokens(capsys, monkeypatch, sample_path, argv, unit):
-    """Parsed trees go from columns to output: no Token, no checked DepTree path."""
+    """Parsed trees go from columns to output: no Token, no build_tree."""
     import deplen.tree as tree_mod
 
     def forbidden(*args, **kwargs):
         raise AssertionError("built a Token or a tree from Tokens")
 
     monkeypatch.setattr(tree_mod.Token, "__post_init__", forbidden)
-    monkeypatch.setattr(tree_mod.DepTree, "__init__", forbidden)
+    for name, module in list(sys.modules.items()):  # every binding of build_tree
+        if name.split(".")[0] == "deplen" and hasattr(module, "build_tree"):
+            monkeypatch.setattr(module, "build_tree", forbidden)
     code, out, err = run(capsys, *argv, str(sample_path), "--unit", unit)
     assert (code, err) == (0, "")
     assert out.startswith(argv[0] + ": 5 sentence(s), unit=" + unit)

@@ -162,6 +162,10 @@ class TestPunctuation:
         dropped = drop_punctuation(parse_conllu(sample_text)[4])
         assert "char_lengths" not in vars(dropped)
         assert dropped.char_lengths == (2, 2, 5)
+        t = build_tree([Token(1, "un"), Token(2, "."), Token(3, "mot")], {1: 0, 2: 1, 3: 1})
+        dropped = drop_punctuation(t)  # its lengths are its forms': counted on first read
+        assert "char_lengths" not in vars(dropped)
+        assert dropped.char_lengths == (2, 3)
 
     def test_non_leaf_punctuation_rejected(self):
         t = build_tree(

@@ -1,5 +1,6 @@
 """Cost functions and the proportion-to-cost pairing rule."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 
 from deplen import (
     IDENTITY,
+    CostFunction,
     DomainError,
     NonMonotoneError,
     SizeMismatchError,
@@ -40,6 +42,7 @@ class TestCostFunctions:
         g = make_cost_function("log")
         assert g(1) == Fraction(math.log(2))
         assert g(Fraction(3, 2)) == Fraction(math.log(2.5))
+        assert g(2) > g(1)
 
     def test_rejects_nonpositive_distance(self):
         for g in (IDENTITY, make_cost_function("log")):
@@ -75,9 +78,18 @@ class TestCostFunctions:
         )
         assert g(2) == 1
 
-    def test_analytic_monotonicity_window(self):
-        g = make_cost_function("log", domain_max=50)
-        assert g(2) > g(1)
+    def test_table_is_stored_as_its_values(self):
+        g = make_cost_function("table", table={2: 3, 1: 1, 3: "7/2"})
+        assert g.table == (1, 3, Fraction(7, 2))
+        assert g.domain_max == len(g.table) == 3
+        for g in (IDENTITY, make_cost_function("log"), make_cost_function("power", exponent=2)):
+            assert g.table is None and g.domain_max is None
+
+    def test_every_field_is_an_init_parameter(self):
+        # a CostFunction is rebuilt from its fields, as a counting copy is
+        assert [f.name for f in dataclasses.fields(CostFunction)] == ["kind", "exponent", "table"]
+        g = make_cost_function("table", table={1: 1, 2: 3})
+        assert CostFunction(**{f.name: getattr(g, f.name) for f in dataclasses.fields(g)}) == g
 
     def test_bad_constructions(self):
         with pytest.raises(ValueError):

@@ -22,6 +22,7 @@ from deplen import (
     enumerate_projective,
     is_projective,
     make_cost_function,
+    parse_conllu,
     projective_mla,
     random_tree,
     sum_lengths,
@@ -420,6 +421,23 @@ class TestProjectiveMinimum:
         assert res.representative.seq == (*range(2, 10), 1, *range(10, 18))
         assert res.searched == math.factorial(17)
 
+
+    @pytest.mark.parametrize("unit, gap", [(Unit.WORDS, 1), (Unit.CHARACTERS, 2)])
+    def test_a_long_parsed_chain_keeps_one_block_map(self, unit, gap):
+        n = 2000  # token i is headed by i - 1: every subtree's map would take 32 MB
+        text = "".join("%d\tw\t_\t_\t_\t_\t%d\t_\t_\t_\n" % (i, i - 1)
+                       for i in range(1, n + 1))
+        (t,) = parse_conllu(text)
+        assert t.subtree_size(1) == len(t.char_lengths) == n  # counted before tracing
+        tracemalloc.start()
+        try:
+            res = projective_minimum(t, unit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.min_cost == gap * (n - 1)  # one-character words, 2 apart in chars
+        assert res.representative.seq == tuple(range(1, n + 1))
+        assert peak < 2 * 2**20
 
 class TestProjectiveOptimum:
     def test_small_shapes(self):

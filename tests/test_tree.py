@@ -1,6 +1,7 @@
 """Tree construction, validation, linearizations, projectivity."""
 
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -150,6 +151,37 @@ class TestDepTree:
             build_tree([Token(1, "a"), Token(1, "b")], {1: 0})
         with pytest.raises(ValueError):
             build_tree(toks(2), {1: 0})  # missing head entry
+
+    def test_column_constructor_equals_build_tree(self):
+        rng = random.Random(13)
+        for _ in range(40):
+            n = rng.randrange(1, 30)
+            heads = list(random_tree(n, rng).head_column)
+            forms = [rng.choice(["", "w", "e\u0301te\u0301"]) for _ in range(n)]
+            lengths = [char_count(f) if f else rng.randrange(1, 9) for f in forms]
+            tokens = [Token(i, f, c) for i, (f, c) in enumerate(zip(forms, lengths), 1)]
+            built = build_tree(tokens[::-1], dict(enumerate(heads, 1)))
+            direct = DepTree(forms, heads, char_lengths=lengths)
+            for attr in ("forms", "head_column", "root", "char_lengths", "sent_id"):
+                assert getattr(direct, attr) == getattr(built, attr)
+            if all(forms):  # lengths left out are counted from the forms
+                assert DepTree(forms, heads).char_lengths == built.char_lengths
+            assert DepTree(forms, heads, "s1").sent_id == "s1"
+
+    @pytest.mark.parametrize("heads", [
+        [2, 1], [0, 0], [1, 0], [0, 5], [0, 3, 4, 2],
+    ], ids=["no-root", "two-roots", "self-head", "out-of-range", "cycle"])
+    def test_both_constructors_raise_alike(self, heads):
+        with pytest.raises((MultiRootError, CycleError, DisconnectedError)) as direct:
+            DepTree(["w"] * len(heads), heads)
+        with pytest.raises(type(direct.value), match="^%s$" % re.escape(str(direct.value))):
+            tree_of(dict(enumerate(heads, 1)))
+
+    def test_columns_must_match_the_heads_in_length(self):
+        with pytest.raises(ValueError, match="forms has 1 entries for 2 heads"):
+            DepTree(["a"], [0, 1])
+        with pytest.raises(ValueError, match="char_lengths has 3 entries for 2 heads"):
+            DepTree(["a", "b"], [0, 1], char_lengths=[1, 1, 1])
 
     def test_single_token_tree(self):
         t = tree_of({1: ROOT})
