@@ -11,6 +11,12 @@ import importlib
 
 __version__ = "0.1.0"
 
+# Defined here so that the CLI can offer them without loading a measuring
+# module: the values of tree.Unit, and the largest n optimize.brute_force_mla
+# searches.
+UNIT_NAMES = ("words", "chars")
+BRUTE_FORCE_MAX = 10
+
 # Each public name, by the module that defines it.  A module is imported
 # when one of its names is first used, so a run loads only what it needs.
 _EXPORTS = {

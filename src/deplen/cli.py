@@ -9,46 +9,40 @@ check fails, 2 on input or usage errors.
 from __future__ import annotations
 
 import argparse
-import io
-import json
 import sys
-from collections import Counter
-from fractions import Fraction
 
-from . import __version__
-from .conllu import drop_punctuation, parse_conllu
-from .costs import (
-    BRUTE_FORCE_MAX,
-    PAIRING_VERIFY_MAX,
-    cost_function_from_spec,
-    optimal_pairing,
-    verify_pairing_optimal,
-)
-from .errors import DeplenError, EmptyCorpusError
-from .metrics import LengthHistogram, cost_D, frac_dec, frac_str
-from .tree import Unit
+from . import BRUTE_FORCE_MAX, UNIT_NAMES, __version__
+
+# Each command imports what it runs, so that --version, --help and usage
+# errors load no measuring module.
 
 RATIONAL_FIELDS = ("observed", "optimal", "gap")  # optimize rows, exact and decimal
-UNIT_NAMES = tuple(u.value for u in Unit)
 
 
-def _render(value) -> str:
-    """Human rendering of a rational for tables and csv.
+def _render(p, q=1) -> str:
+    """Human rendering of the rational p/q for tables and csv.
 
-    A finite decimal (denominator 2**a * 5**b) is shown as the repr of
-    the nearest float (frac_dec), so a long one is rounded: 1 + 1/2**60
-    shows as 1.0.  Any other rational is shown as p/q.  JSON output
-    carries every value exactly.
+    p is an int or a rational, q a positive int.  A finite decimal
+    (lowest-terms denominator 2**a * 5**b) is shown as the repr of the
+    nearest float, so a long one is rounded: 1 + 1/2**60 shows as 1.0.
+    An integer, any other rational and a finite decimal past the double
+    range are shown exactly, as p or p/q.  JSON output carries every
+    value exactly.
     """
-    value = Fraction(value)
-    den = value.denominator
-    while den % 2 == 0:
-        den //= 2
-    while den % 5 == 0:
-        den //= 5
-    if den == 1:
-        return frac_dec(value) if value.denominator > 1 else str(value.numerator)
-    return frac_str(value)
+    p, q = p.numerator, p.denominator * q
+    if p % q == 0:
+        return str(p // q)
+    rest = q >> ((q & -q).bit_length() - 1)  # q without its factors 2
+    while rest % 5 == 0:
+        rest //= 5
+    if p % rest == 0:  # so p/q in lowest terms has no other factor
+        try:
+            return repr(p / q)
+        except OverflowError:
+            pass
+    from .metrics import frac_str
+
+    return frac_str(p, q)
 
 
 def _table(rows, header) -> str:
@@ -64,10 +58,11 @@ def _table(rows, header) -> str:
 
 
 def _csv(rows, header) -> str:
-    import csv as _csvmod
+    import csv
+    import io
 
     buf = io.StringIO()
-    writer = _csvmod.writer(buf, lineterminator="\n")
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
@@ -85,7 +80,7 @@ def _emit(args, out, payload, header, rows, as_table=None, as_csv=None):
     json_out = getattr(args, "json_out", None)
     if args.format == "json" or json_out:
         doc = dict(payload(), command=args.command, seed=args.seed)
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        text = _json_text(doc) + "\n"
         if json_out:
             with open(json_out, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -99,7 +94,68 @@ def _emit(args, out, payload, header, rows, as_table=None, as_csv=None):
     out.write(finish(body) if finish else body)
 
 
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's spelling
+
+
+def _json_text(doc) -> str:
+    """json.dumps(doc, sort_keys=True, indent=2), written without json's encoder.
+
+    With an indent, json.dumps runs its pure-Python encoder, a generator
+    per container; this writes the same text from one recursive function.
+    doc holds dicts with str keys, lists, tuples, str, int, float, bool
+    and None.
+    """
+    from json.encoder import encode_basestring_ascii as quote
+
+    chunks = []
+    write = chunks.append
+
+    def value(v, newline):
+        if isinstance(v, str):
+            write(quote(v))
+        elif v is None:
+            write("null")
+        elif v is True:
+            write("true")
+        elif v is False:
+            write("false")
+        elif isinstance(v, int):
+            write(int.__repr__(v))
+        elif isinstance(v, float):
+            text = float.__repr__(v)
+            write(_JSON_NONFINITE.get(text, text))
+        elif isinstance(v, dict):
+            if not v:
+                write("{}")
+                return
+            inner, sep = newline + "  ", "{"
+            for key in sorted(v):
+                write(sep + inner + quote(key) + ": ")
+                value(v[key], inner)
+                sep = ","
+            write(newline + "}")
+        elif isinstance(v, (list, tuple)):
+            if not v:
+                write("[]")
+                return
+            inner, sep = newline + "  ", "["
+            for item in v:
+                write(sep + inner)
+                value(item, inner)
+                sep = ","
+            write(newline + "]")
+        else:
+            raise TypeError("Object of type %s is not JSON serializable"
+                            % type(v).__name__)
+
+    value(doc, "\n")
+    return "".join(chunks)
+
+
 def _load_corpus(args):
+    from .conllu import drop_punctuation, parse_conllu
+    from .errors import EmptyCorpusError
+
     with open(args.input, encoding="utf-8") as fh:
         text = fh.read()
     trees = parse_conllu(text)
@@ -115,6 +171,8 @@ def _each_sentence(fn, trees, *more):
 
     A DeplenError names its sentence: the 1-based number, and any sent_id.
     """
+    from .errors import DeplenError
+
     results = []
     for i, (tree, *items) in enumerate(zip(trees, *more), start=1):
         try:
@@ -126,6 +184,8 @@ def _each_sentence(fn, trees, *more):
 
 
 def _cost_fn(args):
+    from .costs import cost_function_from_spec
+
     return cost_function_from_spec(
         args.g, allow_nonmonotone=args.allow_nonmonotone_g
     )
@@ -135,26 +195,30 @@ def _histogram_table(histogram) -> str:
     if not histogram:
         return ""
     rows = [
-        [str(d), str(histogram.counts[d]), _render(p)]
-        for d, p in histogram.proportions().items()
+        [str(d), str(c), _render(c, histogram.total_edges)]
+        for d, c in sorted(histogram.counts.items())
     ]
     return "\ndistance histogram (words)\n" + _table(rows, ["d", "count", "p"]) + "\n"
 
 
 def cmd_analyze(args, out) -> int:
+    from .metrics import LengthHistogram, cost_D
+    from .tree import Unit
+
     trees = _load_corpus(args)
     unit = Unit(args.unit)
     g = _cost_fn(args)
-    reports = _each_sentence(
-        lambda t: cost_D(t, None, g, unit), trees
-    )
+    reports = _each_sentence(lambda t: cost_D(t, None, g, unit), trees)
+    del trees  # measured: freed before the output is built, to lower peak memory
     histogram = None
     if unit is Unit.WORDS:
-        counts = Counter()
+        halves = {}  # edges by half-unit length, over the corpus
         for r in reports:
-            counts.update(r.histogram.counts)
-        if counts:
-            histogram = LengthHistogram(dict(counts), sum(counts.values()))
+            for h, c in r.half_counts.items():
+                halves[h] = halves.get(h, 0) + c
+        if halves:
+            counts = {h // 2: c for h, c in halves.items()}
+            histogram = LengthHistogram(counts, sum(counts.values()))
     head = "analyze: %d sentence(s), unit=%s, g=%s\n" % (
         len(reports), unit.value, g.spec()
     )
@@ -172,7 +236,7 @@ def cmd_analyze(args, out) -> int:
         },
         header=["sentence", "n", "sum_lengths", "D"],
         rows=lambda: [
-            [str(i), str(r.n), _render(r.sum_lengths), _render(r.D)]
+            [str(i), str(r.n), _render(r.half_sum, 2), _render(r.D_numerator, r.scale)]
             for i, r in enumerate(reports, start=1)
         ],
         as_table=lambda body: head + body + _histogram_table(histogram),
@@ -182,7 +246,9 @@ def cmd_analyze(args, out) -> int:
 
 
 def cmd_optimize(args, out) -> int:
+    from .metrics import frac_dec, frac_str
     from .optimize import _plan_one, check_max_n
+    from .tree import Unit
 
     check_max_n(args.max_n)
     trees = _load_corpus(args)
@@ -231,6 +297,7 @@ def cmd_optimize(args, out) -> int:
 
 
 def cmd_predict(args, out) -> int:
+    from .metrics import frac_str
     from .predictions import run_default_suite
 
     reports = run_default_suite()
@@ -258,6 +325,11 @@ def _parse_values(text):
 
 
 def cmd_pair(args, out) -> int:
+    from fractions import Fraction
+
+    from .costs import PAIRING_VERIFY_MAX, optimal_pairing, verify_pairing_optimal
+    from .metrics import frac_dec, frac_str
+
     p_values = _parse_values(args.p)
     g_values = _parse_values(args.costs)
     result = optimal_pairing(p_values, g_values)
@@ -296,6 +368,7 @@ def cmd_pair(args, out) -> int:
 
 def cmd_casestudy(args, out) -> int:
     from .casestudy import compare_fixture
+    from .tree import Unit
 
     unit = Unit(args.unit)
     report = compare_fixture(unit=unit)
@@ -401,8 +474,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    from .errors import DeplenError
+
     try:
         return args.handler(args, sys.stdout)
     except (DeplenError, ValueError, OSError) as e:

@@ -12,7 +12,6 @@ exponent, or a table's values g(1), ..., g(K) as a tuple.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -219,14 +218,27 @@ def cost_function_from_spec(text: str, allow_nonmonotone: bool = False) -> CostF
     )
 
 
+def _is_number(text: str) -> bool:
+    """True iff text is written as a rational, as 2, 0.5, 1/2 and 1e3 are."""
+    try:
+        Fraction(text)
+    except ValueError:
+        return False
+    except ZeroDivisionError:  # 1/0
+        pass
+    return True
+
+
 def _read_table_csv(path: str) -> dict[int, Fraction]:
+    import csv
+
     table = {}
     with open(path, newline="", encoding="utf-8") as fh:
         for row_no, row in enumerate(csv.reader(fh), start=1):
             if not row or not "".join(row).strip():
                 continue
-            if row_no == 1 and not row[0].strip().lstrip("-").isdigit():
-                continue  # header
+            if row_no == 1 and not _is_number(row[0]):
+                continue  # a header: its d cell is no number
             if len(row) < 2:
                 raise ValueError(
                     "%s row %d: expected columns d,cost" % (path, row_no)
@@ -257,9 +269,6 @@ class PairingResult:
 
 
 PAIRING_VERIFY_MAX = 8  # largest m whose m! assignments are all checked
-# Largest n optimize.brute_force_mla searches; kept here so that the CLI
-# can state it without loading the search module.
-BRUTE_FORCE_MAX = 10
 
 
 def _pairing_values(p_values, g_values):

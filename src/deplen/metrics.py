@@ -19,24 +19,38 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .costs import IDENTITY
 from .errors import EmptyCorpusError, UnknownEdgeError
 from .tree import DepTree, Linearization, Unit
 
 
-def frac_str(value) -> str:
-    """Render a rational as 'p/q' (or a plain integer string)."""
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return "%d/%d" % (value.numerator, value.denominator)
+def frac_str(p, q=1) -> str:
+    """Render the rational p/q as 'p/q' in lowest terms, or as an integer.
+
+    p is an int or a rational, q a positive int.
+    """
+    p, q = p.numerator, p.denominator * q
+    k = gcd(p, q)
+    if k == q:
+        return str(p // q)
+    return "%d/%d" % (p // k, q // k)
 
 
-def frac_dec(value) -> str:
-    """Decimal convenience rendering of a rational (shortest float repr)."""
-    value = Fraction(value)
-    return repr(value.numerator / value.denominator)
+def frac_dec(p, q=1) -> str:
+    """Decimal rendering of the rational p/q: the repr of the nearest double.
+
+    p is an int or a rational, q a positive int.  Int true division is
+    correctly rounded, as Fraction.__float__ is, so p/q needs no
+    reduction.  Past the double range the nearest double is an infinity,
+    shown as 'inf' or '-inf'.
+    """
+    p, q = p.numerator, p.denominator * q
+    try:
+        return repr(p / q)
+    except OverflowError:
+        return "inf" if p > 0 else "-inf"
 
 
 def _half_positions(tree, unit, seq=None):
@@ -127,7 +141,7 @@ class LengthHistogram:
         lines = ["d,count,p"]
         for d, c in sorted(self.counts.items()):
             lines.append(
-                "%d,%d,%s" % (d, c, frac_dec(Fraction(c, self.total_edges)))
+                "%d,%d,%s" % (d, c, frac_dec(c, self.total_edges))
             )
         return "\n".join(lines) + "\n"
 
@@ -151,27 +165,57 @@ def length_histogram(items, unit: Unit = Unit.WORDS) -> LengthHistogram:
     return LengthHistogram(dict(counts), total)
 
 
-@dataclass(frozen=True)
 class CostReport:
-    """Cost of one arrangement: total length and aggregate cost D."""
+    """Cost of one arrangement: total length and aggregate cost D.
 
-    n: int
-    unit: Unit
-    sum_lengths: Fraction
-    D: Fraction
-    histogram: LengthHistogram | None
+    Kept as integers: half_counts maps each half-unit edge length to its
+    number of edges, half_sum is the total length in half-units, and D is
+    D_numerator / scale, scale being g's HalfTable scale.  sum_lengths, D
+    and histogram (words only, else None) are built when read.
+    """
+
+    __slots__ = ("n", "unit", "half_counts", "half_sum", "D_numerator", "scale")
+
+    def __init__(self, n, unit, half_counts, half_sum, D_numerator, scale):
+        self.n, self.unit, self.half_counts = n, unit, half_counts
+        self.half_sum, self.D_numerator, self.scale = half_sum, D_numerator, scale
+
+    @property
+    def sum_lengths(self) -> Fraction:
+        return Fraction(self.half_sum, 2)
+
+    @property
+    def D(self) -> Fraction:
+        return Fraction(self.D_numerator, self.scale)
+
+    @property
+    def histogram(self) -> LengthHistogram | None:
+        if self.unit is not Unit.WORDS:
+            return None
+        counts = {h // 2: c for h, c in self.half_counts.items()}
+        return LengthHistogram(counts, self.n - 1)
+
+    def _values(self):
+        return self.n, self.unit, self.sum_lengths, self.D, self.histogram
+
+    def __eq__(self, other):
+        if not isinstance(other, CostReport):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return "CostReport(n=%r, unit=%r, sum_lengths=%r, D=%r, histogram=%r)" % self._values()
 
     def to_json_dict(self):
+        histogram = self.histogram
         return {
             "n": self.n,
             "unit": self.unit.value,
-            "sum_lengths": frac_str(self.sum_lengths),
-            "sum_lengths_dec": frac_dec(self.sum_lengths),
-            "D": frac_str(self.D),
-            "D_dec": frac_dec(self.D),
-            "histogram": (
-                self.histogram.to_json_dict() if self.histogram else None
-            ),
+            "sum_lengths": frac_str(self.half_sum, 2),
+            "sum_lengths_dec": frac_dec(self.half_sum, 2),
+            "D": frac_str(self.D_numerator, self.scale),
+            "D_dec": frac_dec(self.D_numerator, self.scale),
+            "histogram": histogram.to_json_dict() if histogram else None,
         }
 
 
@@ -198,13 +242,7 @@ def cost_D(tree, lin, g=None, unit: Unit = Unit.WORDS) -> CostReport:
             "grouped cost %s differs from edge-wise sum %s"
             % (Fraction(by_distance, table.scale), Fraction(direct, table.scale))
         )
-    histogram = None
-    if unit is Unit.WORDS:
-        counts = {h // 2: c for h, c in grouped.items()}
-        histogram = LengthHistogram(counts, len(halves))
-    total = Fraction(sum(halves), 2)
-    D = Fraction(by_distance, table.scale)
-    return CostReport(tree.n, unit, total, D, histogram)
+    return CostReport(tree.n, unit, grouped, sum(halves), by_distance, table.scale)
 
 
 def generalized_cost(tree, lin, g3, unit: Unit = Unit.WORDS) -> Fraction:

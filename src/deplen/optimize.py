@@ -26,7 +26,8 @@ from functools import partial
 from itertools import permutations
 from math import factorial, inf
 
-from .costs import BRUTE_FORCE_MAX, IDENTITY
+from . import BRUTE_FORCE_MAX
+from .costs import IDENTITY
 from .errors import InfeasibleConstraintsError, TooLargeError
 from .metrics import cost_D, frac_dec, frac_str, sum_lengths
 from .tree import Linearization, Unit

@@ -19,16 +19,16 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
+from . import UNIT_NAMES
 from .errors import CycleError, DisconnectedError, MultiRootError
 
 ROOT = 0  # head value marking the root token
 
 
 class Unit(Enum):
-    """Length unit for dependency distances."""
+    """Length unit for dependency distances, valued "words" and "chars"."""
 
-    WORDS = "words"
-    CHARACTERS = "chars"
+    WORDS, CHARACTERS = UNIT_NAMES
 
 
 def char_count(form: str) -> int:
@@ -67,6 +67,16 @@ class Token:
                 )
 
 
+def _name_bad_head(heads):
+    """Raise for the first token, if any, that is its own head or names a head outside 1..n."""
+    n = len(heads)
+    for i, h in enumerate(heads, 1):
+        if h == i:
+            raise CycleError("token %d is its own head" % i)
+        if not 0 <= h <= n:
+            raise DisconnectedError("token %d names head %d, outside 1..%d" % (i, h, n))
+
+
 class DepTree:
     """Immutable rooted dependency tree over tokens 1..n, kept as columns.
 
@@ -86,12 +96,8 @@ class DepTree:
         roots = heads.count(ROOT)
         if roots != 1:
             raise MultiRootError("expected exactly one root, found %d" % roots)
-        for i, h in enumerate(heads, 1):
-            if h == i:
-                raise CycleError("token %d is its own head" % i)
-            if not 0 <= h <= n:
-                raise DisconnectedError("token %d names head %d, outside 1..%d"
-                                        % (i, h, n))
+        if min(heads) < 0 or max(heads) > n:
+            _name_bad_head(heads)
         # Every token must reach the root by following heads.  With one
         # root and all heads in range, a walk can only fail on a cycle, by
         # coming back to a token it has met; earlier walks reached the root.
@@ -101,6 +107,7 @@ class DepTree:
             while not walk[v]:
                 walk[v], v = start, head[v]
             if walk[v] == start:
+                _name_bad_head(heads)  # a token that is its own head comes first
                 raise CycleError("cycle through token %d" % v)
         self.root = heads.index(ROOT) + 1
         self.head_column = tuple(heads)

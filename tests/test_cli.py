@@ -150,6 +150,8 @@ class TestAnalyze:
         ("1,1\n2,1/0\n", "row 2: expected an integer d and a rational cost, got '2,1/0'"),
         ("1,1\n1.5,2\n", "row 2: expected an integer d and a rational cost, got '1.5,2'"),
         ("1,1\n2,abc\n", "row 2: expected an integer d and a rational cost, got '2,abc'"),
+        # a first row is a header only when its d cell is no number
+        ("0.5,9\n1,1\n2,2\n3,3\n", "row 1: expected an integer d and a rational cost, got '0.5,9'"),
     ])
     def test_malformed_cost_table_names_its_row(self, capsys, sample_path, tmp_path, rows, message):
         table = tmp_path / "g.csv"
@@ -157,6 +159,23 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", str(sample_path), "--g", "table:%s" % table)
         assert (code, out) == (2, "")
         assert err == "error: %s %s\n" % (table, message)
+
+    def test_a_value_past_the_double_range_prints_exactly(self, capsys, tmp_path):
+        # words 40 and 41 characters long lie 83/2 apart: D = (83/2)**200
+        corpus = tmp_path / "c.conllu"
+        row = "%d\t%s\t_\t_\t_\t_\t%d\t_\t_\t_\n"
+        corpus.write_text(row % (1, "a" * 40, 0) + row % (2, "b" * 41, 1), encoding="utf-8")
+        argv = ["analyze", str(corpus), "--unit", "chars", "--g", "power:200"]
+        D = Fraction(83, 2) ** 200
+        assert D > sys.float_info.max
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2].split() == ["1", "2", "41.5", "%d/%d" % (D.numerator, D.denominator)]
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        (sentence,) = json.loads(out)["sentences"]
+        assert (sentence["D"], sentence["D_dec"]) == (str(D), "inf")
+        assert (sentence["sum_lengths"], sentence["sum_lengths_dec"]) == ("83/2", "41.5")
 
     def test_short_cost_table_names_the_sentence(self, capsys, tmp_path):
         corpus = write_corpus(tmp_path / "c.conllu", [2, 0], [0, 1, 1])
@@ -555,7 +574,7 @@ def test_each_format_builds_only_what_it_prints(capsys, monkeypatch, sample_path
         code, _, err = run(capsys, *argv, "--format", "json")
         assert (code, err) == (0, "")
     with monkeypatch.context() as m:
-        m.setattr(cli_mod.json, "dumps", forbidden)
+        m.setattr(cli_mod, "_json_text", forbidden)
         for cls in (
             metrics_mod.CostReport,
             metrics_mod.LengthHistogram,
@@ -572,6 +591,10 @@ def test_each_format_builds_only_what_it_prints(capsys, monkeypatch, sample_path
 @pytest.mark.parametrize("argv", [["analyze"], ["analyze", "--drop-punct"], ["optimize"]])
 def test_measuring_and_searching_build_no_tokens(capsys, monkeypatch, sample_path, argv, unit):
     """Parsed trees go from columns to output: no Token, no build_tree."""
+    # The CLI loads a module only when a command runs it: load them now, so
+    # that their bindings are patched too.
+    import deplen.conllu  # noqa: F401
+    import deplen.optimize  # noqa: F401
     import deplen.tree as tree_mod
 
     def forbidden(*args, **kwargs):
@@ -590,7 +613,11 @@ def test_measuring_and_searching_build_no_tokens(capsys, monkeypatch, sample_pat
 @pytest.mark.parametrize("case", ["analyze", "analyze-drop-punct", "optimize"])
 def test_words_runs_count_no_characters(capsys, monkeypatch, sample_path, case, fmt):
     """A parsed tree counts its forms' characters only when a length is read."""
-    import deplen.conllu  # noqa: F401  (loaded, so its names are patched too)
+    # The CLI loads a module only when a command runs it: load them now, so
+    # that their bindings are patched too.
+    import deplen.conllu  # noqa: F401
+    import deplen.optimize  # noqa: F401
+    import deplen.tree  # noqa: F401
 
     def forbidden(form):
         raise AssertionError("counted the characters of %r" % form)

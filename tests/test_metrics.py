@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from deplen import (
+    DomainError,
     EmptyCorpusError,
     Linearization,
     Token,
@@ -13,6 +14,7 @@ from deplen import (
     UnknownEdgeError,
     build_tree,
     cost_D,
+    cost_function_from_spec,
     edge_length,
     generalized_cost,
     length_histogram,
@@ -201,6 +203,67 @@ class TestCostD:
             )
             assert m == t.n - 1
             assert grouped == rep.D
+
+    @pytest.mark.parametrize("unit", list(Unit))
+    @pytest.mark.parametrize("spec", ["identity", "power:2", "power:1/2", "log", "table"])
+    def test_the_integer_report_reads_as_a_fraction_oracle(self, unit, spec):
+        # lengths and D summed as Fractions from each word's first and last
+        # character; a table is defined on integer distances only
+        if spec == "table":
+            g = make_cost_function("table", table={d: Fraction(d * d, 7) + d for d in range(1, 400)})
+        else:
+            g = cost_function_from_spec(spec)
+        rng = random.Random("report/%s/%s" % (unit.value, spec))
+        for _ in range(40):
+            shape = random_tree(rng.randrange(1, 30), rng)
+            odd = rng.random() < 0.5  # odd word lengths: integer distances in chars
+            lengths = [rng.randrange(1, 10, 2 if odd else 1) for _ in range(shape.n)]
+            tree = build_tree(
+                [Token(i, "x" * lam) for i, lam in enumerate(lengths, 1)], shape.heads
+            )
+            seq = list(range(1, tree.n + 1))
+            rng.shuffle(seq)
+            lin = rng.choice([None, Linearization(tuple(seq))])
+            order = seq if lin else range(1, tree.n + 1)
+            center, start = {}, 0
+            for t in order:
+                lam = 1 if unit is Unit.WORDS else lengths[t - 1]
+                center[t] = Fraction(2 * start + 1 + lam, 2)  # (first + last) / 2
+                start += lam + (unit is Unit.CHARACTERS)  # a space between words
+            lengths_of = [abs(center[h] - center[d]) for h, d in tree.edges]
+            try:
+                D = sum((g(d) for d in lengths_of), Fraction(0))
+            except DomainError:
+                with pytest.raises(DomainError):
+                    cost_D(tree, lin, g, unit)
+                continue
+            rep = cost_D(tree, lin, g, unit)
+            total = sum(lengths_of, Fraction(0))
+            assert (rep.sum_lengths, rep.D) == (total, D)
+            assert type(rep.sum_lengths) is type(rep.D) is Fraction
+            counts = {}
+            for d in lengths_of:
+                counts[int(d)] = counts.get(int(d), 0) + 1
+            if unit is Unit.WORDS:
+                assert (rep.histogram.counts, rep.histogram.total_edges) == (counts, tree.n - 1)
+            else:
+                assert rep.histogram is None
+            assert rep.to_json_dict() == {
+                "n": tree.n,
+                "unit": unit.value,
+                "sum_lengths": fraction_str(total),
+                "sum_lengths_dec": repr(float(total)),
+                "D": fraction_str(D),
+                "D_dec": repr(float(D)),
+                "histogram": {
+                    "counts": {str(d): counts[d] for d in sorted(counts)},
+                    "total_edges": tree.n - 1,
+                } if unit is Unit.WORDS else None,
+            }
+
+
+def fraction_str(value):
+    return str(value.numerator) if value.denominator == 1 else str(value)
 
 
 class TestMetricProperties:

@@ -40,26 +40,33 @@ def run_loading(sample_path, argv):
     return proc.stdout, loaded
 
 
-@pytest.mark.parametrize("argv", [["analyze", "SAMPLE"], ["optimize", "--help"]])
+@pytest.mark.parametrize(
+    "argv", [["analyze", "SAMPLE"], ["optimize", "--help"], ["--version"]]
+)
 def test_measuring_and_parsing_flags_load_no_search(sample_path, argv):
     out, loaded = run_loading(sample_path, argv)
-    assert {m for m in loaded if m.startswith("deplen")} == MEASURING
+    parsing_only = argv[0] != "analyze"  # argparse exits before any command runs
+    expected = {"deplen", "deplen.cli"} if parsing_only else MEASURING
+    assert {m for m in loaded if m.startswith("deplen")} == expected
     assert "graphlib" not in loaded
-    assert out.startswith(("analyze: 5 sentence(s)", "usage: deplen optimize"))
+    assert not {"csv", "json.encoder"} & loaded  # a table reads and writes neither
+    if parsing_only:
+        assert not {"dataclasses", "fractions"} & loaded
+    assert out.startswith(("analyze: 5 sentence(s)", "usage: deplen optimize", "0."))
 
 
 @pytest.mark.parametrize(
-    "argv, searches",
+    "argv, modules",
     [
-        (["optimize", "SAMPLE"], {"deplen.optimize"}),
-        (["predict"], {"deplen.optimize", "deplen.predictions"}),
+        (["optimize", "SAMPLE"], MEASURING | {"deplen.optimize"}),
+        (["predict"], MEASURING - {"deplen.conllu"} | {"deplen.optimize", "deplen.predictions"}),
     ],
     ids=["optimize", "predict"],
 )
-def test_start_up_bound_runs_load_only_their_searches(sample_path, argv, searches):
+def test_start_up_bound_runs_load_only_their_searches(sample_path, argv, modules):
     # these workloads take about as long to start as to run
     out, loaded = run_loading(sample_path, argv)
-    assert {m for m in loaded if m.startswith("deplen")} == MEASURING | searches
+    assert {m for m in loaded if m.startswith("deplen")} == modules
     assert "deplen.casestudy" not in loaded
     assert "graphlib" not in loaded
     assert out.startswith(("optimize: 5 sentence(s)", "scenario "))
