@@ -477,11 +477,20 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     from .errors import DeplenError
 
+    # Exact values are printed whatever their length: the interpreter's cap
+    # on int-to-str digits (CPython 3.10.7 and later) is lifted for the run
+    # and restored after it, so library callers keep theirs.
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if cap:
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args, sys.stdout)
     except (DeplenError, ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

@@ -8,6 +8,9 @@ generates only the orders that meet the precedence/contiguity
 constraints (compiled once to bit masks, their tokens and any cycle
 checked first), drops a prefix that already costs more than the best
 order for the kinds positive on d > 0, and returns every optimum.
+Twins, tokens that no cost or constraint tells apart, are searched in
+one order only, and the optima their other orders give are listed by
+permuting them.
 projective_minimum finds the exact projective minimum for any unit and
 cost by a tree DP, at any n but at most 16 dependents per head;
 projective_mla constructs one directly for words and identity cost.
@@ -23,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import permutations
-from math import factorial, inf
+from itertools import chain, permutations, product
+from math import factorial, inf, prod
 
 from . import BRUTE_FORCE_MAX
 from .costs import IDENTITY
@@ -178,31 +181,73 @@ class MlaResult:
 
 
 def _moves(adj, pred, blocks):
-    """The admissible next steps from each placed set, and their count.
+    """The admissible next steps from each placed set reached, and their count.
 
     Sets are bit masks over token - 1 (see _masks), and adj lists each
     token's neighbours.  moves[s] lists (v, the tokens in s linked to v,
     s with v) for each token v that may follow s: pred[v] is in s, v
     finishes the block s has started, if any, and some admissible order
     goes on from there.  ways[s] counts those orders, so ways[0] is the
-    number of admissible orders, n! without a constraint and 0 when none
-    exists.
+    number of admissible orders, 0 when none exists.  Only the sets that
+    such steps reach from the empty set are visited.  brute_force_mla
+    chains each class of twins in pred, so there ways[0] counts the
+    canonical orders, those with every class in index order.
     """
     n = len(adj)
     full = (1 << n) - 1
-    moves, ways = [()] * (full + 1), [0] * full + [1]
-    for s in range(full - 1, -1, -1):
+    moves, ways = [()] * (full + 1), [None] * full + [1]  # None: not visited
+
+    def visit(s):
         free = full & ~s
         for b in blocks:
             if s & b and free & b:  # started, not finished
                 free &= b
-        moves[s] = [
-            (v, tuple(u for u in adj[v] if s >> u & 1), s | 1 << v)
-            for v in range(n)
-            if free >> v & 1 and not pred[v] & ~s and ways[s | 1 << v]
-        ]
-        ways[s] = sum(ways[t] for _, _, t in moves[s])
+        steps = []
+        for v in range(n):
+            if free >> v & 1 and not pred[v] & ~s:
+                t = s | 1 << v
+                if ways[t] is None:
+                    visit(t)
+                if ways[t]:
+                    steps.append((v, tuple(u for u in adj[v] if s >> u & 1), t))
+        moves[s], ways[s] = steps, sum(ways[t] for _, _, t in steps)
+
+    visit(0)
     return moves, ways[0]
+
+
+def _twin_classes(adj, w, pred, blocks):
+    """The classes of two or more twins, each a list of tokens - 1 in index order.
+
+    Twins have the same neighbours, the same width, the same predecessors
+    and successors in pred and the same block, if any (see _masks).
+    Swapping two twins changes neither the cost of an order nor whether
+    it is admissible.
+    """
+    n = len(adj)
+    succ = [sum(1 << v for v in range(n) if pred[v] >> u & 1) for u in range(n)]
+    block = [next((i for i, b in enumerate(blocks) if b >> v & 1), None) for v in range(n)]
+    classes = {}
+    for v in range(n):
+        key = frozenset(adj[v]), w[v], pred[v], succ[v], block[v]
+        classes.setdefault(key, []).append(v)
+    return [c for c in classes.values() if len(c) > 1]
+
+
+def _arrangements(seq, classes):
+    """seq with each class's tokens permuted over the positions they take, every way.
+
+    seq holds each class in index order, so its k-th token sits where
+    the k-th token of a permutation goes.
+    """
+    tokens = [v + 1 for c in classes for v in c]
+    at = {t: len(seq) + i for i, t in enumerate(tokens)}  # in seq + the permutations
+    index = [at.get(t, p) for p, t in enumerate(seq)]
+    rows = []
+    for perms in product(*(permutations([v + 1 for v in c]) for c in classes)):
+        source = seq + tuple(chain.from_iterable(perms))
+        rows.append(tuple(map(source.__getitem__, index)))
+    return rows
 
 
 def brute_force_mla(tree, unit=Unit.WORDS, g=None, constraint=None) -> MlaResult:
@@ -217,8 +262,14 @@ def brute_force_mla(tree, unit=Unit.WORDS, g=None, constraint=None) -> MlaResult
     every optimum is returned, in lexicographic order.  In characters a
     distance g has not seen yet leaves the prefix unsummed down to its
     first leaf, where g is evaluated at that order's distances in edge
-    order, as a scan of every order would.  searched is the number of
-    admissible orders.
+    order, as a scan of every order would.  Each class of twins (see
+    _twin_classes) is placed in index order only; the optimal set is
+    closed under permuting a class, so each optimum found is expanded
+    into every arrangement of each class over the positions it took.  The
+    first order, lexicographically, that meets a distance g lacks has
+    every class in index order, so the search stops where a scan would.
+    searched is the number of admissible orders: the canonical ones
+    times the product of the factorials of the class sizes.
     """
     n = tree.n
     _check_n(tree, BRUTE_FORCE_MAX, "brute force")
@@ -233,13 +284,18 @@ def brute_force_mla(tree, unit=Unit.WORDS, g=None, constraint=None) -> MlaResult
     for h, d in edges:
         adj[h].append(d)
         adj[d].append(h)
-    moves, searched = _moves(adj, pred, blocks)
-    if not searched:
+    w = tree.widths(unit)
+    twins = _twin_classes(adj, w, pred, blocks)
+    for c in twins:  # each class in index order: one order per arrangement of twins
+        for u, v in zip(c, c[1:]):
+            pred[v] |= 1 << u
+    moves, canonical = _moves(adj, pred, blocks)
+    if not canonical:
         raise InfeasibleConstraintsError(
             "no linear order satisfies the constraints"
         )
+    searched = canonical * prod(factorial(len(c)) for c in twins)
     ints, cut, full = table.ints, g.kind != "table", (1 << n) - 1
-    w = tree.widths(unit)
     at, seq, sums = [0] * n, [0] * n, [0] * (n + 1)  # sums[k]: the first k placed
     best = bound = inf  # bound stays inf where there is no cut
     optima = []
@@ -278,6 +334,8 @@ def brute_force_mla(tree, unit=Unit.WORDS, g=None, constraint=None) -> MlaResult
                 optima.append(tuple(seq))
 
     descend(0, 0, 0)
+    if twins:
+        optima = sorted(s for seq in optima for s in _arrangements(seq, twins))
     orders = tuple(map(Linearization, optima))
     return MlaResult(Fraction(best, table.scale), orders, searched, len(orders))
 

@@ -238,19 +238,19 @@ class Linearization:
         seq = tuple(t for t, _ in sorted(positions.items(), key=lambda kv: kv[1]))
         return cls(seq)
 
-    @cached_property
-    def _pos(self) -> dict[int, int]:
-        return {t: p for p, t in enumerate(self.seq, start=1)}
-
     @property
     def n(self) -> int:
         return len(self.seq)
 
     def position(self, token: int) -> int:
-        return self._pos[token]
+        """The position of token; KeyError if the order does not hold it."""
+        try:
+            return self.seq.index(token) + 1
+        except ValueError:
+            raise KeyError(token) from None
 
     def positions(self) -> dict[int, int]:
-        return dict(self._pos)
+        return {t: p for p, t in enumerate(self.seq, start=1)}
 
     def reverse(self) -> "Linearization":
         return Linearization(tuple(reversed(self.seq)))

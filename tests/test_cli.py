@@ -177,6 +177,35 @@ class TestAnalyze:
         assert (sentence["D"], sentence["D_dec"]) == (str(D), "inf")
         assert (sentence["sum_lengths"], sentence["sum_lengths_dec"]) == ("83/2", "41.5")
 
+    @pytest.mark.parametrize("command, field", [("analyze", "D"), ("optimize", "optimal")])
+    def test_a_value_past_the_int_string_limit_prints_exactly(self, capsys, tmp_path, command, field):
+        # D = (83/2)**3000 has over 4,300 digits, CPython's default cap on
+        # int-to-str conversion; the CLI prints it, and callers keep the cap
+        corpus = tmp_path / "c.conllu"
+        row = "%d\t%s\t_\t_\t_\t_\t%d\t_\t_\t_\n"
+        corpus.write_text(row % (1, "a" * 40, 0) + row % (2, "b" * 41, 1), encoding="utf-8")
+        argv = [command, str(corpus), "--unit", "chars", "--g", "power:3000"]
+        D = Fraction(83, 2) ** 3000
+        cap = sys.get_int_max_str_digits()
+        assert 0 < cap < D.numerator.bit_length() * math.log10(2)
+        table = run(capsys, *argv)
+        json_run = run(capsys, *argv, "--format", "json")
+        assert sys.get_int_max_str_digits() == cap
+        with pytest.raises(ValueError):
+            str(D.numerator)
+        sys.set_int_max_str_digits(0)
+        try:
+            exact = "%d/%d" % (D.numerator, D.denominator)
+        finally:
+            sys.set_int_max_str_digits(cap)
+        code, out, err = table
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2].split()[3] == exact
+        code, out, err = json_run
+        assert (code, err) == (0, "")
+        (sentence,) = json.loads(out)["sentences"]
+        assert (sentence[field], sentence[field + "_dec"]) == (exact, "inf")
+
     def test_short_cost_table_names_the_sentence(self, capsys, tmp_path):
         corpus = write_corpus(tmp_path / "c.conllu", [2, 0], [0, 1, 1])
         table = tmp_path / "g.csv"

@@ -248,6 +248,149 @@ def test_short_character_table_fails_where_a_scan_of_every_order_does():
     assert len(failures) > 3  # the integer rule and several missing distances
 
 
+def admissible_orders(tree, constraint):
+    """Every permutation that PrecedenceConstraint.satisfied_by accepts, in order."""
+    return [
+        seq for seq in permutations(range(1, tree.n + 1))
+        if constraint is None
+        or constraint.satisfied_by({t: p for p, t in enumerate(seq, 1)})
+    ]
+
+
+def scan_mla(tree, unit, g, constraint):
+    """(min cost, optima in lexicographic order, admissible count) by a scan.
+
+    Every admissible order is costed by cost_D: no masks, no twins and no cut.
+    """
+    admissible = admissible_orders(tree, constraint)
+    costs = [cost_D(tree, Linearization(seq), g, unit).D for seq in admissible]
+    best = min(costs)
+    return best, tuple(s for s, c in zip(admissible, costs) if c == best), len(admissible)
+
+
+def tree_with_forms(heads, rng=None):
+    """Forms all "x" (rng None), else of 1, 3 or 5 letters: chars distances stay integers."""
+    n = len(heads)
+    lengths = [1] * n if rng is None else [rng.choice((1, 3, 5)) for _ in range(n)]
+    return build_tree([Token(i, "x" * lam) for i, lam in enumerate(lengths, 1)],
+                      dict(enumerate(heads, 1)))
+
+
+def star_heads(k):
+    return [0] + [1] * k
+
+
+def caterpillar_heads(spine, legs):
+    """A chain 1..spine, each spine token with legs leaves after it."""
+    return [0] + list(range(1, spine)) + [s for s in range(1, spine + 1) for _ in range(legs)]
+
+
+def leaf_pair(tree):
+    """Two leaves with one head, twins but for a constraint, or None."""
+    by_head = {}
+    for h, d in tree.edges:
+        if not tree.children(d):
+            by_head.setdefault(h, []).append(d)
+    return next((tuple(ds[:2]) for ds in by_head.values() if len(ds) > 1), None)
+
+
+def twin_constraints(tree):
+    """No constraint, then, for two would-be twins a, b: both in one block,
+    each in a block of its own, a in a block with its head and b free, and
+    a pair putting b before a."""
+    yield None
+    pair = leaf_pair(tree)
+    if pair:
+        a, b = pair
+        yield PrecedenceConstraint(blocks=[(a, b)])
+        yield PrecedenceConstraint(blocks=[(a,), (b,)])
+        yield PrecedenceConstraint(blocks=[(a, tree.head_of(a))])
+        yield PrecedenceConstraint(pairs={(b, a)})
+
+
+def twin_trees():
+    rng = random.Random(1515)
+    for k in range(1, 6):
+        yield "star%d" % k, tree_with_forms(star_heads(k))
+    yield "star4-mixed", tree_with_forms(star_heads(4), random.Random(3))
+    yield "caterpillar2x2", tree_with_forms(caterpillar_heads(2, 2))
+    yield "caterpillar3x1", tree_with_forms(caterpillar_heads(3, 1))
+    for i in range(6):
+        shape = random_tree(rng.randrange(4, 7), rng)
+        yield "random%d" % i, tree_with_forms(shape.head_column)
+
+
+TWIN_COSTS = ("identity", "power:2", "power:1/2", "log", "table")
+
+
+@pytest.mark.parametrize("unit", [Unit.WORDS, Unit.CHARACTERS])
+@pytest.mark.parametrize("spec", TWIN_COSTS)
+def test_twin_search_matches_a_scan_of_every_order(unit, spec):
+    # twins (same neighbours, width, predecessors, successors and block)
+    # are searched in index order only and their optima listed by permuting
+    # them; the scan knows nothing of twins
+    if spec == "table":  # monotone, past every distance met here
+        g = make_cost_function("table", table={d: d * d + 1 for d in range(1, 40)})
+    else:
+        g = cost_function_from_spec(spec)
+    trees = list(twin_trees())
+    assert sum(leaf_pair(t) is not None for _, t in trees) >= 8  # most have twins
+    for name, t in trees:
+        for constraint in twin_constraints(t):
+            best, optima, admissible = scan_mla(t, unit, g, constraint)
+            res = brute_force_mla(t, unit=unit, g=g, constraint=constraint)
+            got = (res.min_cost, tuple(l.seq for l in res.optimal_orders),
+                   res.searched, res.optimal_count)
+            assert got == (best, optima, admissible, len(optima)), (name, constraint)
+
+
+def test_a_star_of_six_lists_every_optimum():
+    # 7 words, the head in the middle: one optimum per order of the 6 leaves
+    g = cost_function_from_spec("power:2")
+    t = tree_with_forms(star_heads(6))
+    res = brute_force_mla(t, g=g)
+    best, optima, admissible = scan_mla(t, Unit.WORDS, g, None)
+    assert (res.min_cost, res.searched, res.optimal_count) == (best, admissible, 720)
+    assert tuple(l.seq for l in res.optimal_orders) == optima
+
+
+@pytest.mark.parametrize("unit", [Unit.WORDS, Unit.CHARACTERS])
+def test_a_short_table_fails_on_twins_where_the_scan_does(unit):
+    # words: every distance 1..n-1 is evaluated first, in increasing order;
+    # chars: at the first order, lexicographically, that meets a distance g
+    # lacks, which has its twins in index order
+    def first_failure(t, g, constraint):
+        if unit is Unit.WORDS:
+            seqs, halves = [None], lambda seq: range(2, 2 * t.n, 2)
+        else:
+            seqs = admissible_orders(t, constraint)
+            halves = lambda seq: oracle_halves(t, seq, unit)
+        for seq in seqs:
+            for h in halves(seq):
+                try:
+                    g(Fraction(h, 2))
+                except DomainError as e:
+                    return str(e)
+        return None
+
+    rng = random.Random(62)
+    messages = set()
+    for name, t in twin_trees():
+        for forms in (None, rng):
+            t = tree_with_forms(t.head_column, forms)
+            for constraint in twin_constraints(t):
+                g = make_cost_function("table", table={d: d for d in range(1, rng.randrange(2, 9))})
+                message = first_failure(t, g, constraint)
+                if message is None:
+                    brute_force_mla(t, unit=unit, g=g, constraint=constraint)
+                    continue
+                with pytest.raises(DomainError) as exc:
+                    brute_force_mla(t, unit=unit, g=g, constraint=constraint)
+                assert str(exc.value) == message, (name, constraint)
+                messages.add(message)
+    assert len(messages) > 3
+
+
 @pytest.mark.parametrize("unit", [Unit.WORDS, Unit.CHARACTERS])
 def test_subset_minimum_matches_brute_force(unit):
     # exhaustive identity rows: the subset DP against scoring every order

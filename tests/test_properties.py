@@ -81,3 +81,40 @@ def test_brute_force_lists_the_cheapest_admissible_orders(case, unit, spec):
     assert res.min_cost == best
     assert [l.seq for l in res.optimal_orders] == [s for s in admissible if costs[s] == best]
     assert res.searched == len(admissible)
+
+
+@st.composite
+def twin_rich(draw):
+    """A random tree with n <= 6 whose head of leaves gets up to 3 more,
+    word lengths 1 or 3, and no constraint, a block or a pair."""
+    m = draw(st.integers(1, 4))
+    heads = list(random_tree(m, random.Random(draw(st.integers(0, 2**32)))).head_column)
+    hub = draw(st.integers(1, m))
+    heads += [hub] * draw(st.integers(0, 6 - m))
+    n = len(heads)
+    lengths = draw(st.lists(st.sampled_from((1, 3)), min_size=n, max_size=n))
+    tokens = [Token(i, "x" * lam) for i, lam in enumerate(lengths, start=1)]
+    constraint = None
+    if n > 1:
+        a, b = draw(st.permutations(range(1, n + 1)))[:2]
+        constraint = draw(st.sampled_from((
+            None, PrecedenceConstraint(blocks=[(a, b)]), PrecedenceConstraint(pairs={(a, b)})
+        )))
+    return build_tree(tokens, dict(enumerate(heads, 1))), constraint
+
+
+@settings(max_examples=80, deadline=None)
+@given(twin_rich(), st.sampled_from(list(Unit)), st.sampled_from(["identity", "power:2", "power:1/2", "log"]))
+def test_twins_searched_once_give_every_optimum_of_a_scan(case, unit, spec):
+    tree, constraint = case
+    g = cost_function_from_spec(spec)
+    admissible = [
+        seq for seq in permutations(range(1, tree.n + 1))
+        if constraint is None or constraint.satisfied_by({t: p for p, t in enumerate(seq, 1)})
+    ]
+    costs = {seq: cost_D(tree, Linearization(seq), g, unit).D for seq in admissible}
+    best = min(costs.values())
+    optima = tuple(s for s in admissible if costs[s] == best)
+    res = brute_force_mla(tree, unit, g, constraint)
+    assert (res.min_cost, tuple(l.seq for l in res.optimal_orders)) == (best, optima)
+    assert (res.searched, res.optimal_count) == (len(admissible), len(optima))

@@ -205,6 +205,25 @@ class TestLinearization:
         assert lin.reverse().seq == (2, 1, 3)
         assert lin.reverse().reverse() == lin
 
+    def test_a_token_outside_the_order_is_a_key_error(self):
+        lin = Linearization((3, 1, 2))
+        for token in (0, 4, -1, "1"):
+            with pytest.raises(KeyError) as exc:
+                lin.position(token)
+            assert exc.value.args == (token,)
+
+    def test_positions_equal_the_position_of_each_token(self):
+        rng = random.Random(31)
+        for n in range(1, 30):
+            seq = list(range(1, n + 1))
+            rng.shuffle(seq)
+            lin = Linearization(tuple(seq))
+            want = {t: p for p, t in enumerate(seq, start=1)}
+            assert lin.positions() == want
+            assert [lin.position(t) for t in range(1, n + 1)] == [want[t] for t in range(1, n + 1)]
+            lin.positions()[seq[0]] = 0  # a fresh dict each call
+            assert lin.positions() == want
+
     def test_identity_and_from_positions(self):
         assert Linearization.identity(4).seq == (1, 2, 3, 4)
         lin = Linearization.from_positions({1: 3, 2: 1, 3: 2})
