@@ -23,14 +23,13 @@ _EXPORTS = {
     "errors": """CycleError DeplenError DisconnectedError DomainError
         EmptyCorpusError InfeasibleConstraintsError MultiRootError
         NonLeafPunctuationError NonMonotoneError ParseError RangeError
-        SizeMismatchError TooLargeError UnknownEdgeError""",
+        SizeMismatchError TooLargeError""",
     "tree": """ROOT DepTree Linearization Token Unit build_tree char_count
         is_projective random_tree""",
     "conllu": "drop_punctuation is_punctuation parse_conllu to_conllu",
     "costs": """IDENTITY CostFunction PairingResult cost_function_from_spec
         make_cost_function optimal_pairing verify_pairing_optimal""",
-    "metrics": """CostReport EdgeLength LengthHistogram cost_D edge_length
-        generalized_cost length_histogram sum_lengths word_centers""",
+    "metrics": "CostReport LengthHistogram cost_D length_histogram sum_lengths",
     "optimize": """MlaResult PrecedenceConstraint brute_force_mla
         enumerate_projective projective_minimum projective_mla subset_minimum""",
     "predictions": """PredictionReport antilocality_demo check_auxiliary_placement

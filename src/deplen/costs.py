@@ -36,11 +36,12 @@ def _exact(value) -> Fraction:
         raise TypeError(
             "floats are not exact; pass int, Fraction or a numeric string"
         )
-    if isinstance(value, (int, Fraction)):
+    if not isinstance(value, (int, Fraction, str)):
+        raise TypeError("cannot convert %r to an exact rational" % (value,))
+    try:
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError("cannot convert %r to an exact rational" % (value,))
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (value,)) from None
 
 
 @dataclass(frozen=True)

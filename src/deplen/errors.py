@@ -31,10 +31,6 @@ class NonLeafPunctuationError(DeplenError):
     """A punctuation token has dependents, so it cannot be dropped."""
 
 
-class UnknownEdgeError(DeplenError):
-    """The requested edge is not part of the tree."""
-
-
 class EmptyCorpusError(DeplenError):
     """No dependencies to aggregate over."""
 

@@ -22,8 +22,8 @@ from fractions import Fraction
 from math import gcd
 
 from .costs import IDENTITY
-from .errors import EmptyCorpusError, UnknownEdgeError
-from .tree import DepTree, Linearization, Unit
+from .errors import EmptyCorpusError
+from .tree import Unit
 
 
 def frac_str(p, q=1) -> str:
@@ -53,65 +53,25 @@ def frac_dec(p, q=1) -> str:
         return "inf" if p > 0 else "-inf"
 
 
-def _half_positions(tree, unit, seq=None):
-    """Each token's doubled center, by token - 1, in the order seq.
-
-    seq None is the tree's own order; see DepTree.widths.
-    """
-    widths = tree.widths(unit)
-    at = [0] * tree.n
-    start = 0
-    for t in range(1, tree.n + 1) if seq is None else seq:
-        w = widths[t - 1]
-        at[t - 1] = 2 * start + w
-        start += w
-    return at
-
-
-def word_centers(tree: DepTree, lin: Linearization) -> dict[int, int]:
-    """Doubled center of every word in characters, an integer.
-
-    A word of length lam starting at character s + 1, after words of
-    total width s (see DepTree.widths), has its center at s + (lam+1)/2.
-    """
-    at = _half_positions(tree, Unit.CHARACTERS, lin.seq)
-    return {t: at[t - 1] for t in lin.seq}
-
-
 def edge_halves(tree, lin, unit):
     """Per-edge lengths in half-units, ordered like tree.edges.
 
-    lin None measures the tree's own order, without building one.
+    lin None measures the tree's own order, without building one.  A
+    token placed after tokens of total width s has its doubled center at
+    2s + w, w its own width; see DepTree.widths.
     """
     if lin is not None and lin.n != tree.n:
         raise ValueError(
             "order has %d tokens but the tree has %d" % (lin.n, tree.n)
         )
-    at = _half_positions(tree, unit, None if lin is None else lin.seq)
+    widths = tree.widths(unit)
+    at = [0] * tree.n  # each token's doubled center, by token - 1
+    start = 0
+    for t in range(1, tree.n + 1) if lin is None else lin.seq:
+        w = widths[t - 1]
+        at[t - 1] = 2 * start + w
+        start += w
     return [abs(at[h - 1] - c) for h, c in zip(tree.head_column, at) if h]
-
-
-@dataclass(frozen=True)
-class EdgeLength:
-    """One measured dependency: (head, dep) and its length."""
-
-    head: int
-    dep: int
-    unit: Unit
-    halves: int  # doubled length, exact
-
-    @property
-    def length(self) -> Fraction:
-        return Fraction(self.halves, 2)
-
-
-def edge_length(tree, lin, edge, unit: Unit = Unit.WORDS) -> EdgeLength:
-    """Length of a single edge of the tree under the given order."""
-    h, d = edge
-    if (h, d) not in tree.edge_set:
-        raise UnknownEdgeError("(%s, %s) is not an edge of the tree" % (h, d))
-    halves = edge_halves(tree, lin, unit)[tree.edges.index((h, d))]
-    return EdgeLength(h, d, unit, halves)
 
 
 def sum_lengths(tree, lin, unit: Unit = Unit.WORDS) -> Fraction:
@@ -244,11 +204,3 @@ def cost_D(tree, lin, g=None, unit: Unit = Unit.WORDS) -> CostReport:
         )
     return CostReport(tree.n, unit, grouped, sum(halves), by_distance, table.scale)
 
-
-def generalized_cost(tree, lin, g3, unit: Unit = Unit.WORDS) -> Fraction:
-    """Sum of g3(head_token, dep_token, distance) over the edges."""
-    halves = edge_halves(tree, lin, unit)
-    total = Fraction(0)
-    for (h, d), hv in zip(tree.edges, halves):
-        total += g3(tree.token(h), tree.token(d), Fraction(hv, 2))
-    return total

@@ -94,22 +94,6 @@ class PrecedenceConstraint:
                         raise ValueError("token %d appears in two blocks" % t)
                     seen.add(t)
 
-    def satisfied_by(self, pos: dict[int, int]) -> bool:
-        for a, b in self.pairs:
-            if pos[a] >= pos[b]:
-                return False
-        if self.blocks:
-            prev_max = None
-            for block in self.blocks:
-                ps = [pos[t] for t in block]
-                lo, hi = min(ps), max(ps)
-                if hi - lo + 1 != len(block):
-                    return False
-                if prev_max is not None and lo < prev_max:
-                    return False
-                prev_max = hi
-        return True
-
 
 def _masks(constraint, n):
     """The constraint as bit masks over token - 1: (pred, blocks).

@@ -26,7 +26,7 @@ from .costs import IDENTITY, make_cost_function
 from .errors import RangeError
 from .metrics import cost_D, frac_str, sum_lengths
 from .optimize import MlaResult, PrecedenceConstraint, brute_force_mla
-from .tree import DepTree, Linearization, Token, Unit, build_tree
+from .tree import DepTree, Linearization, Unit
 
 POWER2 = make_cost_function("power", exponent=2)
 
@@ -56,8 +56,10 @@ class PredictionReport:
         }
 
 
-def _unit_tokens(n):
-    return [Token(i, "", 1) for i in range(1, n + 1)]
+def _unit_tree(heads):
+    """A tree of synthetic tokens, each 1 character long, from {index: head}."""
+    n = len(heads)
+    return DepTree([""] * n, [heads[i] for i in range(1, n + 1)], char_lengths=[1] * n)
 
 
 def _run(name, tree, g, constraint, judge) -> PredictionReport:
@@ -81,7 +83,7 @@ def star_tree(k: int) -> DepTree:
     """One head (token 1) with k unit-length dependents."""
     heads = {1: 0}
     heads.update({i: 1 for i in range(2, k + 2)})
-    return build_tree(_unit_tokens(k + 1), heads)
+    return _unit_tree(heads)
 
 
 def check_star_placement(k: int, g=None) -> PredictionReport:
@@ -156,7 +158,7 @@ def check_verb_argument_branching(position: str, m: int = 1, g=None) -> Predicti
     heads = {1: 0, n1: 1, n2: 1}
     heads.update({d: n1 for d in deps1})
     heads.update({d: n2 for d in deps2})
-    tree = build_tree(_unit_tokens(3 + 2 * m), heads)
+    tree = _unit_tree(heads)
     # the verb's block goes before, between or after the two arguments
     blocks = [(n1,) + deps1, (n2,) + deps2]
     blocks.insert(("initial", "medial", "final").index(position), (1,))
@@ -202,7 +204,7 @@ def check_verb_argument_branching(position: str, m: int = 1, g=None) -> Predicti
 def auxiliary_tree() -> DepTree:
     """Clause head M (1) with subject 2(+3), object 4(+5) and function word 6."""
     heads = {1: 0, 2: 1, 3: 2, 4: 1, 5: 4, 6: 1}
-    return build_tree(_unit_tokens(6), heads)
+    return _unit_tree(heads)
 
 
 def check_auxiliary_placement(base: str, g=None) -> PredictionReport:
@@ -259,7 +261,7 @@ def antilocality_demo(adjectives_per_noun: int = 2, mirror: bool = False) -> Pre
     heads = {verb: 0, n1: verb, n2: verb}
     heads.update({a: n1 for a in adjs1})
     heads.update({a: n2 for a in adjs2})
-    tree = build_tree(_unit_tokens(verb), heads)
+    tree = _unit_tree(heads)
 
     def block(adjs, noun, slot):
         return adjs[: slot - 1] + (noun,) + adjs[slot - 1:]

@@ -6,10 +6,10 @@ Linearization assigns the tokens to positions 1..n; the order the tokens
 came in (index order) is the observed one.
 
 A DepTree is built from its columns by index - 1 (forms, heads and, where
-a length is not the form's, char_lengths) and builds its Tokens on first
-read; build_tree is the one path from Tokens to columns.  Subtree sizes are
-counted once, in one pass without recursion; descendants are walked from
-the children on each call.
+a length is not the form's, char_lengths, checked as a Token checks its
+own) and builds its Tokens on first read; build_tree is the one path from
+Tokens to columns.  Subtree sizes are counted once, in one pass without
+recursion; descendants are walked from the children on each call.
 """
 
 from __future__ import annotations
@@ -53,18 +53,22 @@ class Token:
     def __post_init__(self):
         if self.index < 1:
             raise ValueError("token index must be >= 1, got %d" % self.index)
-        if self.char_length is None:
-            if not self.form:
-                raise ValueError("empty form requires an explicit char_length")
-            object.__setattr__(self, "char_length", char_count(self.form))
-        else:
-            if self.char_length < 1:
-                raise ValueError("char_length must be >= 1")
-            if self.form and self.char_length != char_count(self.form):
-                raise ValueError(
-                    "char_length %d disagrees with form %r"
-                    % (self.char_length, self.form)
-                )
+        object.__setattr__(self, "char_length",
+                           _checked_length(self.index, self.form, self.char_length))
+
+
+def _checked_length(index, form, length):
+    """Token index's length: counted from its form if None, else checked against it."""
+    if length is None:
+        if not form:
+            raise ValueError("token %d: empty form requires an explicit char_length" % index)
+        return char_count(form)
+    if length < 1:
+        raise ValueError("token %d: char_length must be >= 1" % index)
+    if form and length != char_count(form):
+        raise ValueError("token %d: char_length %d disagrees with form %r"
+                         % (index, length, form))
+    return length
 
 
 def _name_bad_head(heads):
@@ -82,8 +86,9 @@ class DepTree:
 
     Token i has the form forms[i - 1] and the int head heads[i - 1], with
     ROOT for the root; sent_id is the "# sent_id" comment of a parsed
-    sentence, if any.  char_lengths, if given, must agree with the
-    non-empty forms, as a Token checks; if not, they are counted
+    sentence, if any.  char_lengths, if given, must be >= 1 and agree
+    with the non-empty forms, and an empty form needs one; both are
+    checked as a Token checks its own.  Lengths not given are counted
     from the forms on first use.
     """
 
@@ -112,8 +117,9 @@ class DepTree:
         self.root = heads.index(ROOT) + 1
         self.head_column = tuple(heads)
         self.forms, self.sent_id = tuple(forms), sent_id
-        if char_lengths is not None:
-            self.char_lengths = tuple(char_lengths)
+        if char_lengths is not None or "" in self.forms:
+            given = [None] * n if char_lengths is None else char_lengths
+            self.char_lengths = tuple(map(_checked_length, range(1, n + 1), self.forms, given))
 
     @cached_property
     def tokens(self) -> tuple[Token, ...]:
@@ -132,9 +138,6 @@ class DepTree:
     def n(self) -> int:
         return len(self.head_column)
 
-    def token(self, index: int) -> Token:
-        return self.tokens[index - 1]
-
     def head_of(self, index: int) -> int:
         if not 1 <= index <= self.n:
             raise KeyError(index)
@@ -144,10 +147,6 @@ class DepTree:
     def edges(self) -> tuple[tuple[int, int], ...]:
         """(head, dependent) pairs, ordered by dependent index."""
         return tuple([(h, d) for d, h in enumerate(self.head_column, 1) if h != ROOT])
-
-    @cached_property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
 
     @cached_property
     def _children(self) -> dict[int, tuple[int, ...]]:
@@ -199,7 +198,9 @@ def build_tree(tokens, heads) -> DepTree:
 
     The one path from Tokens to a tree's columns: the Tokens' indices
     must be exactly 1..n, each with a head, and their forms and lengths
-    become the tree's.
+    become the tree's.  The lengths are passed on only if a form is
+    empty: a form's own length, which its Token counted, is counted
+    again only when read.
     """
     tokens = sorted(tokens, key=lambda t: t.index)
     if not tokens:
@@ -211,8 +212,9 @@ def build_tree(tokens, heads) -> DepTree:
         heads = [int(heads[i]) for i in range(1, n + 1)]
     except KeyError as e:
         raise ValueError("no head given for token %s" % e) from e
-    return DepTree([t.form for t in tokens], heads,
-                   char_lengths=[t.char_length for t in tokens])
+    forms = [t.form for t in tokens]
+    lengths = None if all(forms) else [t.char_length for t in tokens]
+    return DepTree(forms, heads, char_lengths=lengths)
 
 
 @dataclass(frozen=True)
@@ -230,13 +232,6 @@ class Linearization:
     @classmethod
     def identity(cls, n: int) -> "Linearization":
         return cls(tuple(range(1, n + 1)))
-
-    @classmethod
-    def from_positions(cls, positions: dict[int, int]) -> "Linearization":
-        if sorted(positions.values()) != list(range(1, len(positions) + 1)):
-            raise ValueError("positions are not exactly 1..n")
-        seq = tuple(t for t, _ in sorted(positions.items(), key=lambda kv: kv[1]))
-        return cls(seq)
 
     @property
     def n(self) -> int:
@@ -278,20 +273,18 @@ def random_tree(n: int, rng, char_length: int = 1) -> DepTree:
 
     Draws a random root and a random parent array, rejecting draws that
     contain cycles, so every rooted labeled tree is equally likely.
-    Tokens are synthetic, all with the given char_length.
+    Tokens are synthetic: empty forms, all with the given char_length.
     """
-    tokens = [Token(i, "", char_length) for i in range(1, n + 1)]
+    forms, lengths = [""] * n, [char_length] * n
     if n == 1:
-        return build_tree(tokens, {1: ROOT})
+        return DepTree(forms, [ROOT], char_lengths=lengths)
     while True:
         root = rng.randrange(1, n + 1)
-        heads = {root: ROOT}
+        heads = []
         for i in range(1, n + 1):
-            if i == root:
-                continue
-            h = rng.randrange(1, n)
-            heads[i] = h if h < i else h + 1
+            h = ROOT if i == root else rng.randrange(1, n)
+            heads.append(h if h < i else h + 1)
         try:
-            return build_tree(tokens, heads)
+            return DepTree(forms, heads, char_lengths=lengths)
         except CycleError:
             continue

@@ -506,6 +506,11 @@ class TestPair:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [["--p", "1/0,1"], ["--costs", "1,1/0"]])
+    def test_a_zero_denominator_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "pair", *argv)
+        assert (code, out, err) == (2, "", "error: zero denominator in '1/0'\n")
+
     def test_nine_values_skip_the_exhaustive_check(self, capsys):
         values = ",".join(str(v) for v in range(1, 10))
         code, out, _ = run(
@@ -617,13 +622,16 @@ def test_each_format_builds_only_what_it_prints(capsys, monkeypatch, sample_path
 
 
 @pytest.mark.parametrize("unit", UNIT_NAMES)
-@pytest.mark.parametrize("argv", [["analyze"], ["analyze", "--drop-punct"], ["optimize"]])
+@pytest.mark.parametrize(
+    "argv", [["analyze"], ["analyze", "--drop-punct"], ["optimize"], ["predict"]]
+)
 def test_measuring_and_searching_build_no_tokens(capsys, monkeypatch, sample_path, argv, unit):
-    """Parsed trees go from columns to output: no Token, no build_tree."""
+    """Parsed and scenario trees go from columns to output: no Token, no build_tree."""
     # The CLI loads a module only when a command runs it: load them now, so
     # that their bindings are patched too.
     import deplen.conllu  # noqa: F401
     import deplen.optimize  # noqa: F401
+    import deplen.predictions  # noqa: F401
     import deplen.tree as tree_mod
 
     def forbidden(*args, **kwargs):
@@ -633,6 +641,11 @@ def test_measuring_and_searching_build_no_tokens(capsys, monkeypatch, sample_pat
     for name, module in list(sys.modules.items()):  # every binding of build_tree
         if name.split(".")[0] == "deplen" and hasattr(module, "build_tree"):
             monkeypatch.setattr(module, "build_tree", forbidden)
+    if argv == ["predict"]:  # no corpus: the scenarios are measured in words
+        code, out, err = run(capsys, "predict")
+        assert (code, err) == (0, "")
+        assert out.startswith("scenario ")
+        return
     code, out, err = run(capsys, *argv, str(sample_path), "--unit", unit)
     assert (code, err) == (0, "")
     assert out.startswith(argv[0] + ": 5 sentence(s), unit=" + unit)

@@ -38,6 +38,8 @@ from deplen.costs import HalfTable
 from deplen.metrics import edge_halves
 from deplen.optimize import projective_minimum, subset_minimum
 
+from oracles import admissible_orders
+
 LETTERS = "abcdefghijklmnop"
 # precomposed letters and decomposed pairs that NFC composes to one character
 NON_ASCII = ("é", "ß", "ł", "é", "à", "ñ")
@@ -63,7 +65,7 @@ def oracle_halves(tree, seq, unit):
     else:
         at, start = {}, 1
         for t in seq:
-            lam = len(unicodedata.normalize("NFC", tree.token(t).form))
+            lam = len(unicodedata.normalize("NFC", tree.forms[t - 1]))
             at[t] = 2 * start + lam - 1
             start += lam + 1
     return [abs(at[h] - at[d]) for h, d in tree.edges]
@@ -202,11 +204,7 @@ def test_brute_force_matches_a_plain_permutation_loop(spec, unit):
         else:
             t = random_sentence(n, rng)
         for constraint in (None, *random_constraints(t.n, pick)):
-            seqs = [
-                seq for seq in permutations(range(1, t.n + 1))
-                if constraint is None
-                or constraint.satisfied_by({tok: p for p, tok in enumerate(seq, 1)})
-            ]
+            seqs = admissible_orders(t, constraint)
             best, optima = oracle_mla(t, unit, g, seqs)
             res = brute_force_mla(t, unit=unit, g=g, constraint=constraint)
             assert res.min_cost == best
@@ -246,15 +244,6 @@ def test_short_character_table_fails_where_a_scan_of_every_order_does():
         assert str(exc.value) == message
         failures.add(message.split(" (")[0])
     assert len(failures) > 3  # the integer rule and several missing distances
-
-
-def admissible_orders(tree, constraint):
-    """Every permutation that PrecedenceConstraint.satisfied_by accepts, in order."""
-    return [
-        seq for seq in permutations(range(1, tree.n + 1))
-        if constraint is None
-        or constraint.satisfied_by({t: p for p, t in enumerate(seq, 1)})
-    ]
 
 
 def scan_mla(tree, unit, g, constraint):
@@ -427,10 +416,7 @@ def test_searches_rescale_when_a_new_denominator_appears():
         assert res.min_cost == best
         assert [l.seq for l in res.optimal_orders] == optima
         block = PrecedenceConstraint(blocks=[pick.sample(range(1, t.n + 1), 2)])
-        seqs = [
-            seq for seq in permutations(range(1, t.n + 1))
-            if block.satisfied_by({tok: p for p, tok in enumerate(seq, 1)})
-        ]
+        seqs = admissible_orders(t, block)
         best, optima = oracle_mla(t, Unit.CHARACTERS, g, seqs)
         res = brute_force_mla(t, unit=Unit.CHARACTERS, g=fresh_table(), constraint=block)
         assert res.min_cost == best

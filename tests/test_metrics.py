@@ -11,18 +11,15 @@ from deplen import (
     Linearization,
     Token,
     Unit,
-    UnknownEdgeError,
     build_tree,
     cost_D,
     cost_function_from_spec,
-    edge_length,
-    generalized_cost,
     length_histogram,
     make_cost_function,
     random_tree,
     sum_lengths,
-    word_centers,
 )
+from deplen.metrics import edge_halves
 
 
 def svo_tree():
@@ -30,59 +27,33 @@ def svo_tree():
     return build_tree(tokens, {1: 2, 2: 0, 3: 4, 4: 2})
 
 
-class TestWordCenters:
+class TestWordCenters:  # svo_tree's edges, by dependent: (2, 1), (4, 3), (2, 4)
     def test_centers_with_single_space_between_words(self):
         t = svo_tree()
-        centers = word_centers(t, t.identity_linearization())
-        # "Marie mange la pomme": centers at 3, 9, 13.5, 18
-        assert centers[1] == Fraction(6)  # half units
-        assert {i: Fraction(h, 2) for i, h in centers.items()} == {
-            1: 3,
-            2: 9,
-            3: Fraction(27, 2),
-            4: 18,
-        }
+        # "Marie mange la pomme": centers at 3, 9, 13.5, 18, doubled 6, 18, 27, 36
+        halves = edge_halves(t, t.identity_linearization(), Unit.CHARACTERS)
+        assert halves == [18 - 6, 36 - 27, 36 - 18]
 
     def test_centers_follow_the_arrangement(self):
         t = svo_tree()
-        centers = word_centers(t, Linearization((4, 3, 2, 1)))
-        # "pomme la mange Marie"
-        assert {i: Fraction(h, 2) for i, h in centers.items()} == {
-            4: 3,
-            3: Fraction(15, 2),
-            2: 12,
-            1: 18,
-        }
+        # "pomme la mange Marie": centers at 3, 7.5, 12, 18, doubled 6, 15, 24, 36
+        halves = edge_halves(t, Linearization((4, 3, 2, 1)), Unit.CHARACTERS)
+        assert halves == [36 - 24, 15 - 6, 24 - 6]
 
 
 class TestEdgeLength:
     def test_word_distance_is_position_difference(self):
         t = svo_tree()
-        lin = t.identity_linearization()
-        assert edge_length(t, lin, (2, 4)).length == 2
-        assert edge_length(t, lin, (2, 1)).length == 1
-        assert edge_length(t, lin, (2, 4)).unit is Unit.WORDS
+        assert edge_halves(t, t.identity_linearization(), Unit.WORDS) == [2, 2, 4]
 
     def test_character_distance_is_center_difference(self):
         t = svo_tree()
-        lin = t.identity_linearization()
-        assert edge_length(t, lin, (2, 1), unit=Unit.CHARACTERS).length == 6
-        assert edge_length(t, lin, (4, 3), unit=Unit.CHARACTERS).length == Fraction(9, 2)
-        assert edge_length(t, lin, (2, 4), unit=Unit.CHARACTERS).length == 9
+        halves = edge_halves(t, t.identity_linearization(), Unit.CHARACTERS)
+        assert [Fraction(h, 2) for h in halves] == [6, Fraction(9, 2), 9]
 
     def test_direction_does_not_matter(self):
         t = svo_tree()
-        lin = Linearization((4, 3, 2, 1))
-        assert edge_length(t, lin, (2, 1)).length == 1
-        assert edge_length(t, lin, (2, 4)).length == 2
-
-    def test_unknown_edge_rejected(self):
-        t = svo_tree()
-        lin = t.identity_linearization()
-        with pytest.raises(UnknownEdgeError):
-            edge_length(t, lin, (1, 2))  # reversed
-        with pytest.raises(UnknownEdgeError):
-            edge_length(t, lin, (3, 1))
+        assert edge_halves(t, Linearization((4, 3, 2, 1)), Unit.WORDS) == [2, 2, 4]
 
     def test_order_of_another_size_rejected(self):
         t = svo_tree()
@@ -102,9 +73,8 @@ class TestEdgeLength:
     def test_character_lengths_ignore_absolute_offsets(self):
         # same shapes, one tree with longer words on the left edge
         a = build_tree([Token(1, "", 9), Token(2, "", 2), Token(3, "", 2)], {1: 0, 2: 1, 3: 2})
-        lin = a.identity_linearization()
-        d23 = edge_length(a, lin, (2, 3), unit=Unit.CHARACTERS).length
-        assert d23 == 3  # only the two words around the gap matter
+        _, d23 = edge_halves(a, a.identity_linearization(), Unit.CHARACTERS)
+        assert d23 == 2 * 3  # only the two words around the gap matter
 
 
 class TestHistogram:
@@ -316,25 +286,3 @@ class TestMetricProperties:
             assert cost_D(t, lin).D <= cost_D(t, lin, g=g2).D
             assert cost_D(t, lin, g=lo).D <= cost_D(t, lin, g=hi).D
 
-
-class TestGeneralizedCost:
-    def test_distance_only_kernel_matches_sum(self):
-        t = svo_tree()
-        lin = t.identity_linearization()
-        got = generalized_cost(t, lin, lambda h, d, dist: dist)
-        assert got == sum_lengths(t, lin)
-
-    def test_kernel_sees_both_tokens(self):
-        t = svo_tree()
-        lin = t.identity_linearization()
-        got = generalized_cost(
-            t, lin, lambda h, d, dist: dist * h.char_length * d.char_length
-        )
-        # word distances 1, 1, 2 weighted by 5*5, 5*2, 5*5
-        assert got == 85
-
-    def test_char_unit_kernel(self):
-        t = svo_tree()
-        lin = t.identity_linearization()
-        got = generalized_cost(t, lin, lambda h, d, dist: 1, unit=Unit.CHARACTERS)
-        assert got == 3  # one per edge

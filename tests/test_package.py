@@ -1,6 +1,8 @@
-"""The package surface: public names resolve on first use, and a CLI run
-loads only the modules it runs."""
+"""The package surface: public names resolve on first use, the bench's
+names stay public, and a CLI run loads only the modules it runs."""
 
+import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -90,3 +92,19 @@ def test_an_unknown_name_is_an_attribute_error():
         deplen.no_such_name
     with pytest.raises(ImportError):
         exec("from deplen import no_such_name", {})
+
+
+def test_every_name_the_bench_imports_stays_public():
+    # read, not run: the traced bench run calls these names in-process
+    layers = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+    tree = ast.parse(layers.read_text(encoding="utf-8"))
+    names = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "deplen"
+        for alias in node.names
+    }
+    assert {"Token", "build_tree", "length_histogram", "enumerate_projective"} <= names
+    assert names <= set(deplen.__all__)
+    # the bench rebuilds a CostFunction from its fields
+    assert [f.name for f in dataclasses.fields(deplen.IDENTITY)] == ["kind", "exponent", "table"]

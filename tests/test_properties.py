@@ -1,7 +1,6 @@
 """Property tests of the exact searches on generated trees."""
 
 import random
-from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +19,8 @@ from deplen import (
     random_tree,
 )
 from deplen.optimize import subset_minimum
+
+from oracles import admissible_orders
 
 
 @st.composite
@@ -67,10 +68,7 @@ def constrained(draw):
 def test_brute_force_lists_the_cheapest_admissible_orders(case, unit, spec):
     tree, constraint = case
     g = cost_function_from_spec(spec)
-    admissible = [
-        seq for seq in permutations(range(1, tree.n + 1))
-        if constraint.satisfied_by({t: p for p, t in enumerate(seq, 1)})
-    ]
+    admissible = admissible_orders(tree, constraint)
     if not admissible:
         with pytest.raises(InfeasibleConstraintsError):
             brute_force_mla(tree, unit, g, constraint)
@@ -108,10 +106,7 @@ def twin_rich(draw):
 def test_twins_searched_once_give_every_optimum_of_a_scan(case, unit, spec):
     tree, constraint = case
     g = cost_function_from_spec(spec)
-    admissible = [
-        seq for seq in permutations(range(1, tree.n + 1))
-        if constraint is None or constraint.satisfied_by({t: p for p, t in enumerate(seq, 1)})
-    ]
+    admissible = admissible_orders(tree, constraint)
     costs = {seq: cost_D(tree, Linearization(seq), g, unit).D for seq in admissible}
     best = min(costs.values())
     optima = tuple(s for s in admissible if costs[s] == best)

@@ -64,10 +64,9 @@ class TestDepTree:
         t = tree_of({1: 2, 2: ROOT, 3: 4, 4: 2})
         assert t.n == 4
         assert t.root == 2
-        assert t.token(3).form == "w3"
+        assert t.forms[2] == "w3"
         assert t.head_of(1) == 2
         assert t.edges == ((2, 1), (4, 3), (2, 4))
-        assert t.edge_set == {(2, 1), (4, 3), (2, 4)}
         assert t.children(2) == (1, 4)
         assert t.children(3) == ()
         assert t.descendants(4) == {3}
@@ -166,7 +165,7 @@ class TestDepTree:
                 assert getattr(direct, attr) == getattr(built, attr)
             if all(forms):  # lengths left out are counted from the forms
                 assert DepTree(forms, heads).char_lengths == built.char_lengths
-            assert DepTree(forms, heads, "s1").sent_id == "s1"
+            assert DepTree(forms, heads, "s1", lengths).sent_id == "s1"
 
     @pytest.mark.parametrize("heads", [
         [2, 1], [0, 0], [1, 0], [0, 5], [0, 3, 4, 2],
@@ -183,6 +182,28 @@ class TestDepTree:
         with pytest.raises(ValueError, match="char_lengths has 3 entries for 2 heads"):
             DepTree(["a", "b"], [0, 1], char_lengths=[1, 1, 1])
 
+    @pytest.mark.parametrize("lengths, message", [
+        ([0, 1], "token 1: char_length must be >= 1"),
+        ([-3, 1], "token 1: char_length must be >= 1"),
+        ([5, 1], "token 1: char_length 5 disagrees with form 'ab'"),
+        ([2, 2], "token 2: char_length 2 disagrees with form 'c'"),
+    ])
+    def test_given_lengths_are_checked_as_a_token_checks_its_own(self, lengths, message):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            DepTree(["ab", "c"], [0, 1], char_lengths=lengths)
+        assert DepTree(["ab", "c"], [0, 1], char_lengths=[2, 1]).char_lengths == (2, 1)
+
+    def test_an_empty_form_needs_a_length_of_at_least_one(self):
+        message = "token 2: empty form requires an explicit char_length"
+        with pytest.raises(ValueError, match="^%s$" % message):
+            DepTree(["a", ""], [0, 1])
+        too_short = "^token 1: char_length must be >= 1$"
+        with pytest.raises(ValueError, match=too_short):
+            DepTree([""], [0], char_lengths=[0])  # to_conllu would write an empty FORM
+        with pytest.raises(ValueError, match=too_short):
+            random_tree(3, random.Random(5), char_length=0)
+        assert DepTree(["", "e\u0301te\u0301"], [0, 1], char_lengths=[4, 3]).char_lengths == (4, 3)
+
     def test_single_token_tree(self):
         t = tree_of({1: ROOT})
         assert t.n == 1
@@ -198,6 +219,7 @@ class TestLinearization:
             Linearization((2, 3))
 
     def test_positions_and_reverse(self):
+        assert Linearization.identity(4).seq == (1, 2, 3, 4)
         lin = Linearization((3, 1, 2))
         assert lin.n == 3
         assert lin.position(3) == 1
@@ -223,19 +245,6 @@ class TestLinearization:
             assert [lin.position(t) for t in range(1, n + 1)] == [want[t] for t in range(1, n + 1)]
             lin.positions()[seq[0]] = 0  # a fresh dict each call
             assert lin.positions() == want
-
-    def test_identity_and_from_positions(self):
-        assert Linearization.identity(4).seq == (1, 2, 3, 4)
-        lin = Linearization.from_positions({1: 3, 2: 1, 3: 2})
-        assert lin.seq == (2, 3, 1)
-
-    def test_from_positions_needs_the_positions_1_to_n(self):
-        for positions in ({1: 1, 2: 1, 3: 2}, {1: 5, 2: 9, 3: 7}):
-            with pytest.raises(ValueError, match="positions are not exactly 1..n"):
-                Linearization.from_positions(positions)
-        lin = Linearization((3, 1, 4, 2))
-        assert Linearization.from_positions(lin.positions()) == lin
-
 
 class TestProjectivity:
     def test_chain_in_order_is_projective(self):
