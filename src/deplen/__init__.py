@@ -26,7 +26,7 @@ _EXPORTS = {
         SizeMismatchError TooLargeError""",
     "tree": """ROOT DepTree Linearization Token Unit build_tree char_count
         is_projective random_tree""",
-    "conllu": "drop_punctuation is_punctuation parse_conllu to_conllu",
+    "conllu": "drop_punctuation is_punctuation iter_conllu parse_conllu to_conllu",
     "costs": """IDENTITY CostFunction PairingResult cost_function_from_spec
         make_cost_function optimal_pairing verify_pairing_optimal""",
     "metrics": "CostReport LengthHistogram cost_D length_histogram sum_lengths",

@@ -75,18 +75,20 @@ def _emit(args, out, payload, header, rows, as_table=None, as_csv=None):
     payload shares are added here.  rows() gives the table and csv rows
     under header.  as_table(body) and as_csv(body), when given, add to
     the rendered rows the text only that form prints.  Only what the
-    chosen format prints is built.
+    chosen format prints is built, and payload() once per JSON text, as
+    it may hold iterators.
     """
+    def write_json(sink):
+        _json_text(dict(payload(), command=args.command, seed=args.seed), sink.write)
+        sink.write("\n")
+
     json_out = getattr(args, "json_out", None)
-    if args.format == "json" or json_out:
-        doc = dict(payload(), command=args.command, seed=args.seed)
-        text = _json_text(doc) + "\n"
-        if json_out:
-            with open(json_out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        if args.format == "json":
-            out.write(text)
-            return
+    if json_out:
+        with open(json_out, "w", encoding="utf-8") as fh:
+            write_json(fh)
+    if args.format == "json":
+        write_json(out)
+        return
     if args.format == "csv":
         body, finish = _csv(rows(), header), as_csv
     else:
@@ -94,17 +96,20 @@ def _emit(args, out, payload, header, rows, as_table=None, as_csv=None):
     out.write(finish(body) if finish else body)
 
 
+JSON_PIECE = 4096  # strings _json_text gathers before it writes them
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's spelling
 
 
-def _json_text(doc) -> str:
-    """json.dumps(doc, sort_keys=True, indent=2), written without json's encoder.
+def _json_text(doc, out_write) -> None:
+    """Write json.dumps(doc, sort_keys=True, indent=2) through out_write(str).
 
     With an indent, json.dumps runs its pure-Python encoder, a generator
     per container; this writes the same text from one recursive function.
-    doc holds dicts with str keys, lists, tuples, str, int, float, bool
-    and None.
+    doc holds dicts with str keys, lists, tuples, iterators (written as
+    lists), str, int, float, bool and None.  The text goes out in pieces
+    of about JSON_PIECE strings, so an iterator is never held whole.
     """
+    from collections.abc import Iterator
     from json.encoder import encode_basestring_ascii as quote
 
     chunks = []
@@ -134,53 +139,61 @@ def _json_text(doc) -> str:
                 value(v[key], inner)
                 sep = ","
             write(newline + "}")
-        elif isinstance(v, (list, tuple)):
-            if not v:
-                write("[]")
-                return
+        elif isinstance(v, (list, tuple, Iterator)):
             inner, sep = newline + "  ", "["
             for item in v:
                 write(sep + inner)
                 value(item, inner)
                 sep = ","
-            write(newline + "]")
+                if len(chunks) >= JSON_PIECE:
+                    out_write("".join(chunks))
+                    chunks.clear()
+            write("[]" if sep == "[" else newline + "]")
         else:
             raise TypeError("Object of type %s is not JSON serializable"
                             % type(v).__name__)
 
     value(doc, "\n")
-    return "".join(chunks)
+    out_write("".join(chunks))
 
 
-def _load_corpus(args):
-    from .conllu import drop_punctuation, parse_conllu
-    from .errors import EmptyCorpusError
+def _corpus(args):
+    """(number, tree) for each sentence of args.input, parsed as it is read.
 
-    with open(args.input, encoding="utf-8") as fh:
-        text = fh.read()
-    trees = parse_conllu(text)
-    if args.drop_punct:
-        trees = _each_sentence(drop_punctuation, trees)
-    if not trees:
-        raise EmptyCorpusError("no sentences in %s" % args.input)
-    return trees
-
-
-def _each_sentence(fn, trees, *more):
-    """fn(tree, *items) for every tree, items being its entries in more.
-
-    A DeplenError names its sentence: the 1-based number, and any sent_id.
+    Errors rank as when the file was decoded, parsed and rid of punctuation
+    whole, in turn: after a parse error the rest is still decoded, and the
+    first --drop-punct error, or else an empty corpus, is raised at the end.
     """
+    from .conllu import drop_punctuation, iter_conllu, read_lines
+    from .errors import DeplenError, EmptyCorpusError
+
+    lines, drop_error, i = read_lines(args.input), None, 0
+    try:
+        for i, tree in enumerate(iter_conllu(lines), start=1):
+            if args.drop_punct and not drop_error:
+                try:
+                    tree = _in_sentence(i, drop_punctuation, tree)
+                except DeplenError as e:
+                    drop_error = e
+            if not drop_error:
+                yield i, tree
+    except DeplenError:  # a parse error
+        for _ in lines:
+            pass
+        raise
+    if drop_error or not i:
+        raise drop_error or EmptyCorpusError("no sentences in %s" % args.input)
+
+
+def _in_sentence(i, fn, tree, *more):
+    """fn(tree, *more); a DeplenError names sentence i: its number and any sent_id."""
     from .errors import DeplenError
 
-    results = []
-    for i, (tree, *items) in enumerate(zip(trees, *more), start=1):
-        try:
-            results.append(fn(tree, *items))
-        except DeplenError as e:
-            sent_id = "" if tree.sent_id is None else " (sent_id %s)" % tree.sent_id
-            raise type(e)("sentence %d%s: %s" % (i, sent_id, e)) from e
-    return results
+    try:
+        return fn(tree, *more)
+    except DeplenError as e:
+        sent_id = "" if tree.sent_id is None else " (sent_id %s)" % tree.sent_id
+        raise type(e)("sentence %d%s: %s" % (i, sent_id, e)) from e
 
 
 def _cost_fn(args):
@@ -202,25 +215,41 @@ def _histogram_table(histogram) -> str:
 
 
 def cmd_analyze(args, out) -> int:
-    from .metrics import LengthHistogram, cost_D
+    from .errors import DeplenError
+    from .metrics import CostReport, LengthHistogram, cost_D
     from .tree import Unit
 
-    trees = _load_corpus(args)
-    unit = Unit(args.unit)
-    g = _cost_fn(args)
-    reports = _each_sentence(lambda t: cost_D(t, None, g, unit), trees)
-    del trees  # measured: freed before the output is built, to lower peak memory
-    histogram = None
-    if unit is Unit.WORDS:
-        halves = {}  # edges by half-unit length, over the corpus
-        for r in reports:
+    # Each sentence is measured as it is parsed, and a few integers of it
+    # kept.  A cost spec or measuring error ranks below every corpus error.
+    unit, error = Unit(args.unit), None
+    try:
+        g = _cost_fn(args)
+    except (DeplenError, ValueError, OSError) as e:
+        error = e
+    keep_counts = unit is Unit.WORDS and args.format == "json"  # per-sentence histograms
+    measured = []  # per sentence: n, half_sum, D_numerator, and half_counts if kept
+    halves = {}  # edges by half-unit length, over the corpus, in words
+    for i, tree in _corpus(args):
+        if error:
+            continue
+        try:
+            r = _in_sentence(i, cost_D, tree, None, g, unit)
+        except DeplenError as e:
+            error = e
+            continue
+        measured.append((r.n, r.half_sum, r.D_numerator, r.half_counts if keep_counts else None))
+        if unit is Unit.WORDS:
             for h, c in r.half_counts.items():
                 halves[h] = halves.get(h, 0) + c
-        if halves:
-            counts = {h // 2: c for h, c in halves.items()}
-            histogram = LengthHistogram(counts, sum(counts.values()))
+    if error:
+        raise error
+    histogram = None
+    if halves:
+        counts = {h // 2: c for h, c in halves.items()}
+        histogram = LengthHistogram(counts, sum(counts.values()))
+    scale = g.half_table.scale
     head = "analyze: %d sentence(s), unit=%s, g=%s\n" % (
-        len(reports), unit.value, g.spec()
+        len(measured), unit.value, g.spec()
     )
     _emit(
         args,
@@ -228,16 +257,16 @@ def cmd_analyze(args, out) -> int:
         payload=lambda: {
             "unit": unit.value,
             "g": g.spec(),
-            "sentences": [
-                dict(r.to_json_dict(), sentence=i)
-                for i, r in enumerate(reports, start=1)
-            ],
+            "sentences": (
+                dict(CostReport(n, unit, counts, s, d, scale).to_json_dict(), sentence=i)
+                for i, (n, s, d, counts) in enumerate(measured, start=1)
+            ),
             "histogram": histogram.to_json_dict() if histogram else None,
         },
         header=["sentence", "n", "sum_lengths", "D"],
         rows=lambda: [
-            [str(i), str(r.n), _render(r.half_sum, 2), _render(r.D_numerator, r.scale)]
-            for i, r in enumerate(reports, start=1)
+            [str(i), str(n), _render(s, 2), _render(d, scale)]
+            for i, (n, s, d, _) in enumerate(measured, start=1)
         ],
         as_table=lambda body: head + body + _histogram_table(histogram),
         as_csv=lambda body: body + ("\n" + histogram.to_csv() if histogram else ""),
@@ -251,13 +280,13 @@ def cmd_optimize(args, out) -> int:
     from .tree import Unit
 
     check_max_n(args.max_n)
-    trees = _load_corpus(args)
+    corpus = list(_corpus(args))
     unit = Unit(args.unit)
     g = _cost_fn(args)
-    searches = _each_sentence(  # every size limit, before any search
-        lambda t: _plan_one(t, unit, g, args.max_n, args.exact), trees
-    )
-    results = _each_sentence(lambda _, search: search(), trees, searches)
+    searches = [  # every size limit, before any search
+        _in_sentence(i, _plan_one, t, unit, g, args.max_n, args.exact) for i, t in corpus
+    ]
+    results = [_in_sentence(i, lambda _: s(), t) for (i, t), s in zip(corpus, searches)]
     head = "optimize: %d sentence(s), unit=%s, g=%s, max_n=%d\n" % (
         len(results), unit.value, g.spec(), args.max_n
     )

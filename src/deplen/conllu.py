@@ -9,36 +9,67 @@ root.
 from __future__ import annotations
 
 import unicodedata
+from itertools import chain
 
 from .errors import DeplenError, NonLeafPunctuationError, ParseError
 from .tree import ROOT, DepTree
 
 
+READ_CHARS = 1 << 16  # characters read_lines takes from the file at a time
+LINE_BREAKS = "\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # str.splitlines()'s, "\r" read as "\n"
+
+
 def parse_conllu(text: str) -> list[DepTree]:
-    """Parse CoNLL-U text into a list of dependency trees.
+    """Parse CoNLL-U text into a list of dependency trees."""
+    return list(iter_conllu(text.splitlines()))
+
+
+def read_lines(path):
+    """The lines of a UTF-8 file, as str.splitlines() gives them, read
+    READ_CHARS characters at a time.  An undecodable byte raises the error
+    of decoding the whole file, its position counted from the file's start.
+    """
+    with open(path, encoding="utf-8") as fh:
+        rest = ""  # the last line read, when it may go on in the next chunk
+        try:
+            for chunk in iter(lambda: fh.read(READ_CHARS), ""):
+                lines = (rest + chunk).splitlines()
+                rest = "" if chunk[-1] in LINE_BREAKS else lines.pop()
+                yield from lines
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw:
+                raw.read().decode("utf-8")
+            raise
+        if rest:
+            yield rest
+
+
+def iter_conllu(lines):
+    """Parse CoNLL-U lines, without their line breaks, one tree at a time.
 
     Each line is checked as it comes, and a sentence's FORM and HEAD
     columns fill by ID.  Only a sentence whose IDs do not come as 1, 2, ...
-    is read again, to sort it or to name its duplicate or missing ID.  A
-    "# sent_id = ..." comment in a sentence's block gives its sent_id.
+    is read again, from its lines, the only ones kept, to sort it or to
+    name its duplicate or missing ID.  A "# sent_id = ..." comment in a
+    sentence's block gives its sent_id.
     """
-    trees = []
-    lines = text.splitlines()
-    forms, heads = [], []  # the current sentence's columns, by ID - 1
-    start, in_order, sent_id = 1, True, None  # its first line, IDs so far 1, 2, ...
-    for line_no, line in enumerate(lines + [""], start=1):
+    sent_no, block, forms, heads = 0, [], [], []  # the current sentence: lines, columns by ID - 1
+    in_order, sent_id = True, None  # its IDs so far 1, 2, ...
+    for line_no, line in enumerate(chain(lines, [""]), start=1):
         if not line or line.isspace():
             if forms:
-                sent_no = len(trees) + 1
+                sent_no += 1
                 if not in_order:
-                    forms, heads = _sorted_columns(lines, start, line_no, sent_no)
+                    forms, heads = _sorted_columns(block, line_no - len(block), sent_no)
                 try:
-                    trees.append(DepTree(forms, heads, sent_id))
+                    tree = DepTree(forms, heads, sent_id)
                 except DeplenError as e:
                     raise type(e)("sentence %d: %s" % (sent_no, e)) from e
+                yield tree
                 forms, heads = [], []
-            start, in_order, sent_id = line_no + 1, True, None
+            block, in_order, sent_id = [], True, None
             continue
+        block.append(line)
         if line[0] == "#":
             key, eq, value = line[1:].partition("=")
             if eq and key.strip() == "sent_id":
@@ -69,14 +100,13 @@ def parse_conllu(text: str) -> list[DepTree]:
             raise ParseError("empty FORM", line=line_no)
         forms.append(fields[1])
         heads.append(head)
-    return trees
 
 
-def _sorted_columns(lines, start, stop, sent_no):
-    """Forms and heads by ID from the checked lines start..stop-1."""
+def _sorted_columns(block, start, sent_no):
+    """Forms and heads by ID from a sentence's checked lines, block[0] at line start."""
     rows, first = {}, None  # ID: (form, head); the first token line
-    for line_no in range(start, stop):
-        fields = lines[line_no - 1].split("\t", 7)
+    for line_no, line in enumerate(block, start):
+        fields = line.split("\t", 7)
         if fields[0][0] == "#" or "-" in fields[0] or "." in fields[0]:
             continue  # a comment, multiword range or empty node
         idx = int(fields[0])

@@ -249,6 +249,77 @@ class TestAnalyze:
         assert err == "error: sentence 2 (sent_id x2): %s\n" % message
 
 
+def sentence(*tokens):
+    """A CoNLL-U sentence of (form, head) tokens."""
+    row = "%d\t%s\t_\t_\t_\t_\t%d\t_\t_\t_"
+    return "\n".join(row % (i, f, h) for i, (f, h) in enumerate(tokens, start=1))
+
+
+class TestErrorOrder:
+    """A corpus is measured as it is read, yet its errors rank as when it was
+    read whole first: decoding, parsing, --drop-punct, an empty corpus, the
+    cost spec, measuring.  Each case puts the lower-ranked error first."""
+
+    SHORT_TABLE = "1,1\n"  # no cost for d=2
+    D2 = sentence(("a", 0), ("b", 1), ("c", 1))  # has an edge of length 2
+    NONLEAF_PUNCT = sentence(("a", 2), ("-", 0))
+    BAD_ROW = "1\tx"
+
+    @pytest.mark.parametrize(
+        "blocks, flags, message",
+        [
+            ([NONLEAF_PUNCT, BAD_ROW], ["--drop-punct"],
+             "line 4: expected at least 7 tab-separated columns, got 2"),
+            ([D2, BAD_ROW], ["--g", "TABLE"],
+             "line 5: expected at least 7 tab-separated columns, got 2"),
+            ([D2, NONLEAF_PUNCT], ["--drop-punct", "--g", "TABLE"],
+             "sentence 2: punctuation token 2 ('-') has dependents"),
+            ([D2, NONLEAF_PUNCT, D2], ["--drop-punct", "--g", "TABLE"],
+             "sentence 2: punctuation token 2 ('-') has dependents"),
+            ([NONLEAF_PUNCT, sentence(("!", 0))], ["--drop-punct"],
+             "sentence 1: punctuation token 2 ('-') has dependents"),
+            ([BAD_ROW], ["--g", "cubic"],
+             "line 1: expected at least 7 tab-separated columns, got 2"),
+            ([NONLEAF_PUNCT], ["--drop-punct", "--g", "cubic"],
+             "sentence 1: punctuation token 2 ('-') has dependents"),
+            (["# nothing"], ["--g", "cubic"], "no sentences in CORPUS"),
+            ([D2], ["--g", "cubic"],
+             "unknown cost spec 'cubic'; expected identity, power:A, log or table:PATH"),
+            ([D2, D2], ["--g", "TABLE"],
+             "sentence 1: table has no cost for d=2 (domain 1..1)"),
+        ],
+    )
+    def test_the_error_of_the_lowest_rank_wins(self, capsys, tmp_path, blocks, flags, message):
+        corpus, table = tmp_path / "c.conllu", tmp_path / "g.csv"
+        corpus.write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
+        table.write_text(self.SHORT_TABLE, encoding="utf-8")
+        flags = ["table:%s" % table if f == "TABLE" else f for f in flags]
+        code, out, err = run(capsys, "analyze", str(corpus), *flags)
+        assert (code, out) == (2, "")
+        assert err == "error: %s\n" % message.replace("CORPUS", str(corpus))
+
+    def test_a_missing_file_beats_the_cost_spec(self, capsys, tmp_path):
+        code, out, err = run(capsys, "analyze", str(tmp_path / "none.conllu"), "--g", "cubic")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno 2] No such file or directory")
+
+    @pytest.mark.parametrize("command", ["analyze", "optimize"])
+    @pytest.mark.parametrize("head", ["", BAD_ROW + "\n\n"], ids=["valid", "after-a-parse-error"])
+    def test_an_undecodable_byte_is_placed_from_the_file_start(
+        self, capsys, tmp_path, command, head
+    ):
+        text = head + (sentence(("w", 0)) + "\n\n") * 5000
+        at = 100_000  # past the first chunk the file is read in
+        data = text.encode("utf-8")
+        corpus = tmp_path / "c.conllu"
+        corpus.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+        code, out, err = run(capsys, command, str(corpus))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: 'utf-8' codec can't decode byte 0xff in position 100000: invalid start byte\n"
+        )
+
+
 class TestOptimize:
     def test_table_output(self, capsys, sample_path):
         code, out, err = run(capsys, "optimize", str(sample_path))

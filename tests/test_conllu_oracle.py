@@ -12,8 +12,10 @@ import unicodedata
 
 import pytest
 
+import deplen.conllu
 from deplen import CycleError, DeplenError, DisconnectedError, MultiRootError, ParseError
-from deplen import parse_conllu
+from deplen import iter_conllu, parse_conllu
+from deplen.conllu import read_lines
 
 
 class Token:
@@ -272,3 +274,50 @@ def test_mutations_reach_every_outcome():
         "its own head", "outside 1..", "cycle through",
     ):
         assert any(needle in m for m in messages), needle
+
+
+# Every line break str.splitlines() knows besides "\n", "\r" and "\r\n".
+OTHER_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def columns(trees):
+    return [(t.forms, t.head_column, t.sent_id) for t in trees]
+
+
+@pytest.mark.parametrize("chunk", range(3))
+def test_the_file_reader_splits_lines_as_parse_conllu_does(chunk, tmp_path, monkeypatch):
+    """A file read in chunks that cut its lines parses as its whole text does.
+
+    The corpora break lines with "\n", "\r\n" or "\r", and carry the other
+    line breaks of str.splitlines() in forms, comments and anywhere else.
+    """
+    path = tmp_path / "c.conllu"
+    for seed in range(200 * chunk, 200 * (chunk + 1)):
+        rng = random.Random(seed)
+        text, _, _ = random_corpus(seed)
+        if rng.random() < 0.3:
+            text = text.replace("\r\n", "\n").replace("\n", "\r")
+        text = list(text)
+        for _ in range(rng.randint(0, 4)):
+            text.insert(rng.randrange(len(text) + 1), rng.choice(OTHER_BREAKS))
+        text = "".join(text)
+        path.write_text(text, encoding="utf-8", newline="")
+        monkeypatch.setattr(deplen.conllu, "READ_CHARS", rng.choice([1, 2, 3, 5, 8, 64]))
+        got, got_error = outcome(lambda p: columns(iter_conllu(read_lines(p))), path)
+        want, want_error = outcome(lambda t: columns(parse_conllu(t)), text)
+        assert (got, got_error) == (want, want_error), (seed, text)
+
+
+def test_the_file_reader_meets_every_line_break(tmp_path, monkeypatch):
+    """Forms and comments holding each line break, read a character at a time."""
+    row = "%d\t%s\t_\t_\t_\t_\t%d\t_\t_\t_"
+    for brk in OTHER_BREAKS + "\r":
+        text = "# text = a%sb\n%s\n\n%s\r\n" % (
+            brk, row % (1, "x" + brk + "y", 0), row % (1, "z", 0)
+        )
+        path = tmp_path / "c.conllu"
+        path.write_text(text, encoding="utf-8", newline="")
+        monkeypatch.setattr(deplen.conllu, "READ_CHARS", 1)
+        assert outcome(lambda p: list(read_lines(p)), path) == outcome(str.splitlines, text)
+        got = outcome(lambda p: columns(iter_conllu(read_lines(p))), path)
+        assert got == outcome(lambda t: columns(parse_conllu(t)), text), repr(brk)

@@ -54,7 +54,24 @@ json_docs = st.recursive(
 @example([float("nan"), float("inf"), -float("inf"), 1e300, 5e-324, True, False, None])
 @example({"sentences": [{"D": "4", "n": 4, "histogram": {"counts": {"1": 2}}}]})
 def test_the_json_writer_is_json_dumps_indented_and_sorted(doc):
-    assert _json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    assert json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+def json_text(doc):
+    pieces = []
+    _json_text(doc, pieces.append)
+    return "".join(pieces)
+
+
+def test_an_iterator_is_written_as_a_list_a_few_items_at_a_time(monkeypatch):
+    import deplen.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "JSON_PIECE", 8)
+    rows = [{"n": i, "h": {"1": i}} for i in range(100)]
+    pieces = []
+    _json_text({"rows": iter(rows), "none": iter([])}, pieces.append)
+    assert "".join(pieces) == json.dumps({"rows": rows, "none": []}, sort_keys=True, indent=2)
+    assert len(pieces) > 20 and max(map(len, pieces)) < 200
 
 
 numerators = (
