@@ -7,10 +7,10 @@ optima without listing them.  brute_force_mla searches every order
 generates only the orders that meet the precedence/contiguity
 constraints (compiled once to bit masks, their tokens and any cycle
 checked first), drops a prefix that already costs more than the best
-order for the kinds positive on d > 0, and returns every optimum.
-Twins, tokens that no cost or constraint tells apart, are searched in
-one order only, and the optima their other orders give are listed by
-permuting them.
+order for the kinds positive on d > 0, and returns the optima it
+finds.  Twins, tokens that no cost or constraint tells apart, are
+searched in one order only; MlaResult.optimal_orders permutes them into
+every optimum, and is built only when it is read.
 projective_minimum finds the exact projective minimum for any unit and
 cost by a tree DP, at any n but at most 16 dependents per head;
 projective_mla constructs one directly for words and identity cost.
@@ -136,23 +136,32 @@ def _masks(constraint, n):
 class MlaResult:
     """Outcome of an arrangement search.
 
-    optimal_orders holds the optima the search returns: every one for
-    brute_force_mla, in lexicographic order, and one for the others.
-    That one is the smallest for subset_minimum, the smallest projective
-    one for projective_minimum, and the one constructed for projective_mla.
-    optimal_count is the number of optima counted: every one for the
-    exhaustive searches, the one returned for the projective ones.
+    optima holds the optima the search returns, as token tuples: for
+    brute_force_mla every one with each class of twins in index order,
+    lexicographically, and one for the others.  That one is the smallest
+    for subset_minimum, the smallest projective one for projective_minimum,
+    and the one constructed for projective_mla.  twins holds the classes
+    of twins (see _twin_classes).  optimal_count is the number of optima
+    counted: every one for the exhaustive searches, the one returned for
+    the projective ones.
     """
 
     min_cost: Fraction
-    optimal_orders: tuple
+    optima: tuple
     searched: int
     optimal_count: int
+    twins: tuple = ()
 
     @property
     def representative(self) -> Linearization:
-        """The first optimal order returned (see optimal_orders)."""
-        return self.optimal_orders[0]
+        """The first optimum returned: the smallest, for the exhaustive searches."""
+        return Linearization(self.optima[0])
+
+    @property
+    def optimal_orders(self) -> tuple:
+        """Every optimum returned, sorted, with each class of twins arranged every way."""
+        rows = (row for seq in self.optima for row in _arrangements(seq, self.twins))
+        return tuple(map(Linearization, sorted(rows)))
 
     def to_json_dict(self):
         return {
@@ -201,7 +210,7 @@ def _moves(adj, pred, blocks):
 
 
 def _twin_classes(adj, w, pred, blocks):
-    """The classes of two or more twins, each a list of tokens - 1 in index order.
+    """The classes of two or more twins, each a tuple of tokens in index order.
 
     Twins have the same neighbours, the same width, the same predecessors
     and successors in pred and the same block, if any (see _masks).
@@ -214,8 +223,8 @@ def _twin_classes(adj, w, pred, blocks):
     classes = {}
     for v in range(n):
         key = frozenset(adj[v]), w[v], pred[v], succ[v], block[v]
-        classes.setdefault(key, []).append(v)
-    return [c for c in classes.values() if len(c) > 1]
+        classes.setdefault(key, []).append(v + 1)
+    return tuple(tuple(c) for c in classes.values() if len(c) > 1)
 
 
 def _arrangements(seq, classes):
@@ -224,18 +233,17 @@ def _arrangements(seq, classes):
     seq holds each class in index order, so its k-th token sits where
     the k-th token of a permutation goes.
     """
-    tokens = [v + 1 for c in classes for v in c]
-    at = {t: len(seq) + i for i, t in enumerate(tokens)}  # in seq + the permutations
+    at = {t: len(seq) + i for i, t in enumerate(chain(*classes))}  # in seq + the permutations
     index = [at.get(t, p) for p, t in enumerate(seq)]
     rows = []
-    for perms in product(*(permutations([v + 1 for v in c]) for c in classes)):
+    for perms in product(*map(permutations, classes)):
         source = seq + tuple(chain.from_iterable(perms))
         rows.append(tuple(map(source.__getitem__, index)))
     return rows
 
 
 def brute_force_mla(tree, unit=Unit.WORDS, g=None, constraint=None) -> MlaResult:
-    """Exact minimum over all (admissible) orders, with every optimum.
+    """Exact minimum over all (admissible) orders, with every optimum it searched.
 
     Guarded at n <= 10.  A depth-first search places tokens left to right
     at doubled centers, so both units share one path.  Only admissible
@@ -243,17 +251,16 @@ def brute_force_mla(tree, unit=Unit.WORDS, g=None, constraint=None) -> MlaResult
     in g's HalfTable, is added once, when its second end is placed.  For
     the kinds positive on d > 0 (all but tables), a prefix that already
     costs more than the best complete order is dropped; ties are kept, so
-    every optimum is returned, in lexicographic order.  In characters a
-    distance g has not seen yet leaves the prefix unsummed down to its
-    first leaf, where g is evaluated at that order's distances in edge
-    order, as a scan of every order would.  Each class of twins (see
-    _twin_classes) is placed in index order only; the optimal set is
-    closed under permuting a class, so each optimum found is expanded
-    into every arrangement of each class over the positions it took.  The
-    first order, lexicographically, that meets a distance g lacks has
-    every class in index order, so the search stops where a scan would.
-    searched is the number of admissible orders: the canonical ones
-    times the product of the factorials of the class sizes.
+    every optimum searched is returned, in lexicographic order.  In
+    characters a distance g has not seen yet leaves the prefix unsummed
+    down to its first leaf, where g is evaluated at that order's
+    distances in edge order, as a scan of every order would.  Each class
+    of twins (see _twin_classes) is placed in index order only; the
+    optimal set is closed under permuting a class, so each order searched
+    stands for the product of the factorials of the class sizes, in
+    searched and optimal_count.  The least order of each such set has its
+    classes in index order: optima[0] is the smallest optimum, and the
+    search meets a distance g lacks where a scan would.
     """
     n = tree.n
     _check_n(tree, BRUTE_FORCE_MAX, "brute force")
@@ -272,13 +279,13 @@ def brute_force_mla(tree, unit=Unit.WORDS, g=None, constraint=None) -> MlaResult
     twins = _twin_classes(adj, w, pred, blocks)
     for c in twins:  # each class in index order: one order per arrangement of twins
         for u, v in zip(c, c[1:]):
-            pred[v] |= 1 << u
+            pred[v - 1] |= 1 << u - 1
     moves, canonical = _moves(adj, pred, blocks)
     if not canonical:
         raise InfeasibleConstraintsError(
             "no linear order satisfies the constraints"
         )
-    searched = canonical * prod(factorial(len(c)) for c in twins)
+    orbit = prod(factorial(len(c)) for c in twins)  # the orders each canonical one stands for
     ints, cut, full = table.ints, g.kind != "table", (1 << n) - 1
     at, seq, sums = [0] * n, [0] * n, [0] * (n + 1)  # sums[k]: the first k placed
     best = bound = inf  # bound stays inf where there is no cut
@@ -318,10 +325,8 @@ def brute_force_mla(tree, unit=Unit.WORDS, g=None, constraint=None) -> MlaResult
                 optima.append(tuple(seq))
 
     descend(0, 0, 0)
-    if twins:
-        optima = sorted(s for seq in optima for s in _arrangements(seq, twins))
-    orders = tuple(map(Linearization, optima))
-    return MlaResult(Fraction(best, table.scale), orders, searched, len(orders))
+    count = len(optima) * orbit
+    return MlaResult(Fraction(best, table.scale), tuple(optima), canonical * orbit, count, twins)
 
 
 def subset_minimum(tree, unit=Unit.WORDS) -> MlaResult:
@@ -365,9 +370,7 @@ def subset_minimum(tree, unit=Unit.WORDS) -> MlaResult:
         seq.append(v + 1)
         s |= 1 << v
     ends = sum(step[h - 1] + step[d - 1] for h, d in tree.edges) // 2
-    return MlaResult(
-        Fraction(ends + rest[0], 2), (Linearization(tuple(seq)),), factorial(n), ways[0]
-    )
+    return MlaResult(Fraction(ends + rest[0], 2), (tuple(seq),), factorial(n), ways[0])
 
 
 def _projective_seqs(tree, v, units=None):
@@ -452,7 +455,7 @@ def projective_minimum(tree, unit=Unit.WORDS, g=None) -> MlaResult:
             off, cand = 2 * width[s] + w[v], (lc + rc, ls + (v,) + rs)
             best[v][off] = min(cand, best[v].get(off, cand))
     cost, seq = min(best[tree.root].values())
-    return MlaResult(Fraction(cost, table.scale), (Linearization(seq),), searched, 1)
+    return MlaResult(Fraction(cost, table.scale), (seq,), searched, 1)
 
 
 def projective_mla(tree) -> MlaResult:
@@ -489,9 +492,8 @@ def projective_mla(tree) -> MlaResult:
         todo.extend((c, "left") for c in right)
         todo.append(v)
         todo.extend((c, "right") for c in reversed(left))
-    lin = Linearization(tuple(seq))
-    cost = sum_lengths(tree, lin, Unit.WORDS)
-    return MlaResult(cost, (lin,), 1, 1)
+    seq = tuple(seq)
+    return MlaResult(sum_lengths(tree, Linearization(seq), Unit.WORDS), (seq,), 1, 1)
 
 
 def _plan_one(tree, unit, g, max_n, exact):

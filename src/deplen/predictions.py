@@ -67,7 +67,10 @@ def _run(name, tree, g, constraint, judge) -> PredictionReport:
 
     g defaults to the identity cost.  judge(result, g) gives (holds,
     counterexample, detail); the report adds the cost spec to detail
-    and is named <name>_<g.spec()>.
+    and is named <name>_<g.spec()>.  A judge reads result.optima, one
+    order per arrangement of twins, so it may read only facts that
+    permuting a class of twins cannot change.  The first such order to
+    break a prediction is then the first optimum to break it.
     """
     if g is None:
         g = IDENTITY
@@ -98,8 +101,7 @@ def check_star_placement(k: int, g=None) -> PredictionReport:
     medians = {(k + 2) // 2, (k + 3) // 2}
 
     def judge(result, g):
-        optima = result.optimal_orders
-        head_positions = {lin.position(1) for lin in optima}
+        head_positions = {seq.index(1) + 1 for seq in result.optima}
         peripheral = cost_D(tree, None, g).D
         detail = {
             "k": k,
@@ -111,22 +113,22 @@ def check_star_placement(k: int, g=None) -> PredictionReport:
             else None,
         }
         if k == 1:
-            holds = len(optima) == result.searched == 2
+            holds = result.optimal_count == result.searched == 2
             detail["placement_irrelevant"] = holds
             return holds, None, detail
         holds = (
             head_positions == medians
-            and len(optima) == len(medians) * math.factorial(k)
+            and result.optimal_count == len(medians) * math.factorial(k)
         )
-        off_median = (lin for lin in optima if lin.position(1) not in medians)
+        off_median = (Linearization(s) for s in result.optima if s.index(1) + 1 not in medians)
         return holds, next(off_median, None), detail
 
     return _run("star_k%d" % k, tree, g, None, judge)
 
 
-def _placement(lin, head, deps):
-    hp = lin.position(head)
-    dps = [lin.position(d) for d in deps]
+def _placement(seq, head, deps):
+    hp = seq.index(head)
+    dps = [seq.index(d) for d in deps]
     if hp < min(dps):
         return "first"
     if hp > max(dps):
@@ -164,10 +166,9 @@ def check_verb_argument_branching(position: str, m: int = 1, g=None) -> Predicti
     blocks.insert(("initial", "medial", "final").index(position), (1,))
 
     def judge(result, g):
-        optima = result.optimal_orders
         placements = [
-            (_placement(lin, n1, deps1), _placement(lin, n2, deps2))
-            for lin in optima
+            (_placement(seq, n1, deps1), _placement(seq, n2, deps2))
+            for seq in result.optima
         ]
         detail = {
             "position": position,
@@ -192,7 +193,7 @@ def check_verb_argument_branching(position: str, m: int = 1, g=None) -> Predicti
             return True, None, detail
         expected, never = _FACING_THE_VERB[position]
         opposite = next(
-            (lin for lin, p in zip(optima, placements) if never in p), None
+            (Linearization(s) for s, p in zip(result.optima, placements) if never in p), None
         )
         holds = (expected, expected) in placements and opposite is None
         return holds, opposite, detail
@@ -223,17 +224,14 @@ def check_auxiliary_placement(base: str, g=None) -> PredictionReport:
         blocks, offset = ((1,), (2, 3), (4, 5)), -1  # right before the head
 
     def judge(result, g):
-        optima = result.optimal_orders
+        offsets = [seq.index(6) - seq.index(1) for seq in result.optima]
         violating = next(
-            (lin for lin in optima if lin.position(6) != lin.position(1) + offset),
-            None,
+            (Linearization(s) for s, o in zip(result.optima, offsets) if o != offset), None
         )
         detail = {
             "base": base,
             "expected_offset_from_head": offset,
-            "observed_offsets": sorted(
-                {lin.position(6) - lin.position(1) for lin in optima}
-            ),
+            "observed_offsets": sorted(set(offsets)),
         }
         return violating is None, violating, detail
 

@@ -471,6 +471,24 @@ class TestOptimize:
         code, out, err = run(capsys, "optimize", corpus, *flags)
         assert (code, out, err) == (2, "", "error: sentence 2: %s\n" % message)
 
+    def test_no_run_lists_the_arrangements_of_twins(self, capsys, tmp_path, monkeypatch):
+        import deplen.optimize
+
+        def never(*args, **kwargs):
+            raise AssertionError("a run listed every arrangement of a class of twins")
+
+        monkeypatch.setattr(deplen.optimize, "_arrangements", never)
+        star = [0] + [1] * 9  # one head with 9 dependents, all twins
+        corpus = write_corpus(tmp_path / "c.conllu", star)
+        code, out, err = run(capsys, "optimize", corpus, "--exact", "--g", "power:2", "--format", "json")
+        assert (code, err) == (0, "")
+        row = json.loads(out)["sentences"][0]
+        assert row["optimal_count"] == 2 * math.factorial(9) == 725760
+        assert row["representative"] == [2, 3, 4, 5, 1, 6, 7, 8, 9, 10]
+        code, out, err = run(capsys, "predict", "--seed", "7", "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / "predict.json").read_bytes().decode("utf-8")
+
     def test_chars_power_cost_on_a_40_token_sentence(self, capsys, tmp_path):
         tree = random_tree(40, random.Random(40))
         heads = [tree.head_of(i) for i in range(1, 41)]

@@ -1,9 +1,11 @@
-"""analyze streams its corpus: its peak memory does not grow with the corpus.
+"""Runs whose peak memory must not grow with what they could list.
 
-A 20,000-sentence corpus (ten treebank files the size of UD English-EWT's
-dev file) is measured in child processes, whose peak resident set size
-the kernel reports.  Reading the whole corpus before measuring it took
-86 MB for the words table and chars JSON and 136 MB for words JSON.
+analyze streams its corpus: a 20,000-sentence corpus (ten treebank files
+the size of UD English-EWT's dev file) is measured in child processes,
+whose peak resident set size the kernel reports.  Reading the whole
+corpus before measuring it took 86 MB for the words table and chars JSON
+and 136 MB for words JSON.  An exact search on a star lists none of its
+optima: listing the 725,760 optima of 9 twins took 188 MB.
 """
 
 import os
@@ -52,30 +54,42 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
+def spawn(*argv):
+    """Start `python -m deplen ARGV` from SPAWN."""
+    return subprocess.Popen(
+        [sys.executable, "-c", SPAWN, sys.executable, "-m", "deplen", *argv],
+        stdout=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        text=True,
+    )
+
+
+def peak_mb(spawner, name):
+    """The spawned run's peak RSS in MB, once it has exited 0."""
+    out, _ = spawner.communicate()
+    code, maxrss = map(int, out.split())
+    assert (spawner.returncode, code) == (0, 0), name
+    return maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10)  # bytes, else KiB
+
+
 def test_analyze_peaks_below_a_bound_that_does_not_grow_with_the_corpus(corpus):
     runs = {
         "words table": [],
         "chars log json": ["--unit", "chars", "--g", "log", "--format", "json"],
         "words json": ["--format", "json"],
     }
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    spawners = {
-        name: subprocess.Popen(
-            [sys.executable, "-c", SPAWN, sys.executable, "-m", "deplen", "analyze",
-             str(corpus), *flags],
-            stdout=subprocess.PIPE,
-            env=env,
-            text=True,
-        )
-        for name, flags in runs.items()
-    }
-    peak_mb = {}
-    scale = 1 << 20 if sys.platform == "darwin" else 1 << 10  # ru_maxrss in bytes, else KiB
-    for name, spawner in spawners.items():
-        out, _ = spawner.communicate()
-        code, maxrss = map(int, out.split())
-        assert (spawner.returncode, code) == (0, 0), name
-        peak_mb[name] = maxrss / scale
+    spawners = {name: spawn("analyze", str(corpus), *flags) for name, flags in runs.items()}
+    peaks = {name: peak_mb(spawner, name) for name, spawner in spawners.items()}
     # On CPython 3.11, Linux x86-64: 30, 24 and 27 MB.  A table holds its rows
     # while it is written, and words JSON each sentence's histogram.
-    assert max(peak_mb.values()) < LIMIT_MB, peak_mb
+    assert max(peaks.values()) < LIMIT_MB, peaks
+
+
+def test_exact_search_on_a_star_lists_none_of_its_optima(tmp_path):
+    row = "%d\tw\t_\t_\t_\t_\t%d\t_\t_\t_"
+    star = tmp_path / "star.conllu"  # one head with 9 dependents, all twins
+    heads = [0] + [1] * 9
+    star.write_text("\n".join(row % ih for ih in enumerate(heads, 1)) + "\n", encoding="utf-8")
+    argv = "optimize", str(star), "--exact", "--g", "power:2", "--format", "json"
+    # On CPython 3.11, Linux x86-64: about 17 MB.
+    assert peak_mb(spawn(*argv), "star") < LIMIT_MB

@@ -17,6 +17,8 @@ from deplen import (
     star_tree,
 )
 
+import oracles
+
 POWER2 = make_cost_function("power", exponent=2)
 
 
@@ -276,3 +278,56 @@ class TestSuite:
         assert d["optimal_count"] == 2
         assert d["representative"] == [2, 1, 3]
         assert d["counterexample"] is None
+
+
+
+# A constant cost makes every admissible order optimal, so every prediction
+# fails, and the first of many counterexamples is compared too.
+FLAT = make_cost_function("table", table={d: 1 for d in range(1, 10)}, allow_nonmonotone=True)
+COSTS = {"identity": cost_function_from_spec("identity"), "power:2": POWER2, "flat": FLAT}
+
+
+def _listing_verdict(report, g):
+    """The report's verdict as the judge reading every optimum gives it."""
+    d = report.detail
+    if "k" in d:
+        verdict = oracles.star_verdict(d["k"], report.witness, g)
+    elif "position" in d:
+        verdict = oracles.branching_verdict(d["position"], d["m"], report.witness)
+    else:
+        verdict = oracles.auxiliary_verdict(d["base"], report.witness)
+    holds, counterexample, detail = verdict
+    return holds, counterexample, dict(detail, g=d["g"])
+
+
+class TestJudgesReadOneOptimumPerArrangementOfTwins:
+    """Each judge gives the verdict its copy in tests/oracles.py gives from the full listing."""
+
+    def test_default_suite(self):
+        reports = [r for r in run_default_suite() if not r.name.startswith("antilocality")]
+        assert len(reports) == 26
+        for r in reports:
+            g = cost_function_from_spec(r.detail["g"])
+            assert (r.holds, r.counterexample, r.detail) == _listing_verdict(r, g), r.name
+
+    @pytest.mark.parametrize("cost", sorted(COSTS))
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_stars(self, k, cost):
+        r = check_star_placement(k, g=COSTS[cost])
+        assert (r.holds, r.counterexample, r.detail) == _listing_verdict(r, COSTS[cost])
+        assert (r.counterexample is not None) == (cost == "flat" and k > 1)
+
+    @pytest.mark.parametrize("cost", sorted(COSTS))
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("position", ["initial", "medial", "final"])
+    def test_branching(self, position, m, cost):
+        r = check_verb_argument_branching(position, m=m, g=COSTS[cost])
+        assert (r.holds, r.counterexample, r.detail) == _listing_verdict(r, COSTS[cost])
+        assert (r.counterexample is not None) == (cost == "flat" and position != "medial")
+
+    @pytest.mark.parametrize("cost", sorted(COSTS))
+    @pytest.mark.parametrize("base", ["SOV", "VSO"])
+    def test_auxiliary(self, base, cost):
+        r = check_auxiliary_placement(base, g=COSTS[cost])
+        assert (r.holds, r.counterexample, r.detail) == _listing_verdict(r, COSTS[cost])
+        assert (r.counterexample is not None) == (cost == "flat")

@@ -113,3 +113,6 @@ def test_twins_searched_once_give_every_optimum_of_a_scan(case, unit, spec):
     res = brute_force_mla(tree, unit, g, constraint)
     assert (res.min_cost, tuple(l.seq for l in res.optimal_orders)) == (best, optima)
     assert (res.searched, res.optimal_count) == (len(admissible), len(optima))
+    assert res.optimal_count == len(res.optimal_orders)
+    assert res.representative == res.optimal_orders[0]
+    assert hash(res) == hash(brute_force_mla(tree, unit, g, constraint))
